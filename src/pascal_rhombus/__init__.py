@@ -21,18 +21,8 @@ from .closedforms import (
     convolved_fib_series,
     entry_convolved,
     entry_triple_sum,
-    entry_triple_sum_reference,
 )
-from .paths import (
-    DEFAULT_CAP,
-    LatticePath,
-    count_by_height,
-    count_grand_motzkin,
-    count_motzkin,
-    count_motzkin2,
-    enumerate_grand,
-    recurrence_check,
-)
+from .paths import DEFAULT_CAP, count_by_height, count_motzkin2
 from .rhombus import RhombusTable, build_table
 from .series import (
     TruncatedSeries,
@@ -54,19 +44,13 @@ __all__ = [
     "RhombusTable",
     "build_table",
     "entry_triple_sum",
-    "entry_triple_sum_reference",
     "entry_convolved",
     "convolved_fib_series",
     "convolved_fib_gould",
     "convolved_fib_product",
-    "LatticePath",
     "DEFAULT_CAP",
-    "enumerate_grand",
     "count_by_height",
     "count_motzkin2",
-    "count_motzkin",
-    "count_grand_motzkin",
-    "recurrence_check",
     "CheckResult",
     "run_all",
     "__version__",

@@ -6,7 +6,8 @@ coefficients of the named generating functions F, C, B, L<j>) and ``check``
 (the one-shot cross-method verification report).
 
 Values go to stdout as exact decimal strings, diagnostics go to stderr.
-Exit codes: 0 all good, 1 mathematical disagreement or failed check,
+Exit codes: 0 all good (also when the reader closes the pipe early),
+1 mathematical disagreement, failed check or internal invariant failure,
 2 usage error.
 """
 
@@ -14,9 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .checks import run_all
 from .closedforms import entry_convolved, entry_triple_sum
@@ -24,7 +26,6 @@ from .paths import DEFAULT_CAP, count_by_height
 from .rhombus import build_table
 from .series import catalan_gf, column_gf, fibonacci_gf, motzkin2_gf
 
-METHODS = ("recurrence", "triple_sum", "convolved", "series", "oracle", "all")
 FORMATS = ("plain", "json", "csv")
 
 EXIT_OK = 0
@@ -36,6 +37,10 @@ class UsageError(Exception):
     pass
 
 
+class OutOfReach(UsageError):
+    """A route cannot reach the requested entry within its --order or --oracle-cap."""
+
+
 def _emit_sequence(values: list[int], fmt: str) -> str:
     if fmt == "json":
         return json.dumps(values)
@@ -44,80 +49,80 @@ def _emit_sequence(values: list[int], fmt: str) -> str:
     return ",".join(str(v) for v in values)
 
 
-def _entry_one(i: int, j: int, method: str, order: int, oracle_cap: int) -> int:
-    if method == "recurrence":
-        return build_table(i).entry(i, j)
-    if method == "triple_sum":
-        return entry_triple_sum(i, j)
-    if method == "convolved":
-        return entry_convolved(i, j)
-    if method == "series":
-        if i >= order:
-            raise UsageError(
-                f"series method keeps {order} coefficients, cannot read index {i}; "
-                f"raise --order to at least {i + 1}"
-            )
-        return column_gf(abs(j), order).integer_coefficients()[i]
-    if method == "oracle":
-        if i > oracle_cap:
-            raise UsageError(
-                f"the exhaustive oracle is capped at length {oracle_cap}, got {i}; "
-                "raise --oracle-cap knowingly (cost grows exponentially)"
-            )
-        return count_by_height(i, cap=oracle_cap).get(j, 0)
-    raise UsageError(f"unknown method {method!r}")
+def _series_route(i: int, j: int, args: argparse.Namespace) -> int:
+    if i >= args.order:
+        raise OutOfReach(
+            f"index {i} is past --order {args.order}; raise --order to at least {i + 1}"
+        )
+    return column_gf(abs(j), args.order).integer_coefficients()[i]
 
 
-def _cmd_entry(args: argparse.Namespace) -> int:
+def _oracle_route(i: int, j: int, args: argparse.Namespace) -> int:
+    if i > args.oracle_cap:
+        raise OutOfReach(
+            f"length {i} is past --oracle-cap {args.oracle_cap}; "
+            "raise the cap knowingly, the cost grows exponentially"
+        )
+    return count_by_height(i, cap=args.oracle_cap).get(j, 0)
+
+
+# the lambdas look the route functions up by name at call time, so a
+# rebound module attribute (a test's fake, a tracer's wrapper) is honoured
+ROUTES: dict[str, Callable[[int, int, argparse.Namespace], int]] = {
+    "recurrence": lambda i, j, args: build_table(i).entry(i, j),
+    "triple_sum": lambda i, j, args: entry_triple_sum(i, j),
+    "convolved": lambda i, j, args: entry_convolved(i, j),
+    "series": _series_route,
+    "oracle": _oracle_route,
+}
+
+
+def _cmd_entry(args: argparse.Namespace) -> tuple[int, str]:
     i, j = args.i, args.j
     if i < 0:
         raise UsageError(f"row index must be >= 0, got {i}")
+    if args.order < 1:
+        raise UsageError(f"--order must be >= 1, got {args.order}")
+    if args.oracle_cap < 0:
+        raise UsageError(f"--oracle-cap must be >= 0, got {args.oracle_cap}")
     if args.method != "all":
-        value = _entry_one(i, j, args.method, args.order, args.oracle_cap)
-        print(value if args.format != "json" else json.dumps(value))
-        return EXIT_OK
+        return EXIT_OK, str(ROUTES[args.method](i, j, args))
 
     values: dict[str, int] = {}
-    for method in ("recurrence", "triple_sum", "convolved", "series", "oracle"):
-        if method == "series" and i >= args.order:
-            print(f"skipping series method (index {i} >= order {args.order})", file=sys.stderr)
-            continue
-        if method == "oracle" and i > args.oracle_cap:
-            print(f"skipping oracle method (length {i} > cap {args.oracle_cap})", file=sys.stderr)
-            continue
-        values[method] = _entry_one(i, j, method, args.order, args.oracle_cap)
+    for method, route in ROUTES.items():
+        try:
+            values[method] = route(i, j, args)
+        except OutOfReach as exc:
+            print(f"skipping {method} method ({exc})", file=sys.stderr)
 
-    if args.format == "json":
-        print(json.dumps(list(values.values())))
-    else:
-        print("\n".join(str(v) for v in values.values()))
-    if len(set(values.values())) != 1:
+    agree = len(set(values.values())) == 1
+    if not agree:
         print(
             f"methods disagree at (i={i}, j={j}): "
             + ", ".join(f"{k}={v}" for k, v in values.items()),
             file=sys.stderr,
         )
-        return EXIT_DISAGREEMENT
-    return EXIT_OK
+    # one value per line, as csv prints a sequence, unless json was asked for
+    fmt = "json" if args.format == "json" else "csv"
+    return (EXIT_OK if agree else EXIT_DISAGREEMENT), _emit_sequence(list(values.values()), fmt)
 
 
-def _cmd_row(args: argparse.Namespace) -> int:
+def _cmd_row(args: argparse.Namespace) -> tuple[int, str]:
     if args.i < 0:
         raise UsageError(f"row index must be >= 0, got {args.i}")
-    print(_emit_sequence(build_table(args.i).row(args.i), args.format))
-    return EXIT_OK
+    return EXIT_OK, _emit_sequence(build_table(args.i).row(args.i), args.format)
 
 
-def _cmd_column(args: argparse.Namespace) -> int:
+def _cmd_column(args: argparse.Namespace) -> tuple[int, str]:
     if args.terms < 1:
         raise UsageError(f"--terms must be >= 1, got {args.terms}")
     depth = abs(args.j) + args.terms - 1
-    values = build_table(depth).column(args.j)
-    print(_emit_sequence(values, args.format))
-    return EXIT_OK
+    return EXIT_OK, _emit_sequence(build_table(depth).column(args.j), args.format)
 
 
-def _cmd_series(args: argparse.Namespace) -> int:
+def _cmd_series(args: argparse.Namespace) -> tuple[int, str]:
+    if args.order < 1:
+        raise UsageError(f"--order must be >= 1, got {args.order}")
     name = args.name
     if name == "F":
         s = fibonacci_gf(args.order)
@@ -130,30 +135,27 @@ def _cmd_series(args: argparse.Namespace) -> int:
         if not match:
             raise UsageError(f"unknown series {name!r}; expected F, C, B or L<j>")
         s = column_gf(abs(int(match.group(1))), args.order)
-    print(_emit_sequence(s.integer_coefficients(), args.format))
-    return EXIT_OK
+    return EXIT_OK, _emit_sequence(s.integer_coefficients(), args.format)
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace) -> tuple[int, str]:
     if args.max_i < 1 or args.order < 1:
         raise UsageError("--max-i and --order must be positive")
     if args.max_oracle_n < 0:
         raise UsageError(f"--max-oracle-n must be >= 0, got {args.max_oracle_n}")
+    if args.oracle_cap < args.max_oracle_n:
+        raise UsageError(
+            f"--oracle-cap {args.oracle_cap} is below --max-oracle-n {args.max_oracle_n}"
+        )
     results = run_all(
         max_i=args.max_i,
         max_oracle_n=args.max_oracle_n,
         series_order=args.order,
         oracle_cap=args.oracle_cap,
     )
-    # each suite's lines are assembled before printing, so the report can
-    # never interleave even if suites are one day run concurrently
-    for res in results:
-        line = f"{res.status:7s} {res.name}"
-        if res.detail:
-            line += f": {res.detail}"
-        print(line)
+    lines = [f"{r.status:7s} {r.name}" + (f": {r.detail}" if r.detail else "") for r in results]
     failed = [r for r in results if not r.skipped and not r.passed]
-    return EXIT_DISAGREEMENT if failed else EXIT_OK
+    return (EXIT_DISAGREEMENT if failed else EXIT_OK), "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_entry = sub.add_parser("entry", help="one entry r[i][j]")
     p_entry.add_argument("i", type=int)
     p_entry.add_argument("j", type=int)
-    p_entry.add_argument("--method", choices=METHODS, default="recurrence")
+    p_entry.add_argument("--method", choices=(*ROUTES, "all"), default="recurrence")
     p_entry.add_argument("--order", type=int, default=30,
                          help="series truncation order for the series method")
     p_entry.add_argument("--oracle-cap", type=int, default=DEFAULT_CAP,
@@ -205,16 +207,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # values are printed in full: central entries pass CPython's default
+    # 4300-digit int->str limit near row 8300 (the call exists from 3.10.7)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        verdict, text = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_DISAGREEMENT
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: point stdout at devnull so the flush
+        # at shutdown cannot fail again, and keep the command's verdict
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+    return verdict
 
 
 def run() -> None:

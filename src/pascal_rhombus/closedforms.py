@@ -24,7 +24,6 @@ from .series import TruncatedSeries
 
 __all__ = [
     "entry_triple_sum",
-    "entry_triple_sum_reference",
     "entry_convolved",
     "convolved_fib_series",
     "convolved_fib_gould",
@@ -41,8 +40,7 @@ def entry_triple_sum(i: int, j: int) -> int:
     """Entry (i, j) as a double sum of three binomial factors.
 
     The outer index stops at floor((i - |j|)/2); beyond that every term
-    vanishes (see :func:`entry_triple_sum_reference` for the loose-bound
-    variant that demonstrates this).
+    vanishes (the tests check this against the loose bound m <= i).
     """
     if i < 0:
         raise ValueError(f"row index must be >= 0, got {i}")
@@ -57,20 +55,6 @@ def entry_triple_sum(i: int, j: int) -> int:
             rest += _binom(l + j + 2 * m, l) * _binom(l, i - j - 2 * m - l)
         total += lead * rest
     return total
-
-
-def entry_triple_sum_reference(i: int, j: int) -> int:
-    """Same sum with the loose bound m <= i, kept as a vanishing-terms check."""
-    if i < 0:
-        raise ValueError(f"row index must be >= 0, got {i}")
-    j = abs(j)
-    if j > i:
-        return 0
-    return sum(
-        _binom(2 * m + j, m) * _binom(l + j + 2 * m, l) * _binom(l, i - j - 2 * m - l)
-        for m in range(i + 1)
-        for l in range(i - j - 2 * m + 1)
-    )
 
 
 def convolved_fib_series(r: int, count: int) -> list[int]:

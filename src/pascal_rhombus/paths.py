@@ -5,75 +5,24 @@ level step H2 = (2, 0).  The *length* of a path is its total x-extent (so
 H2 contributes 2), its *height* is the final y-coordinate, and a path is
 *non-negative* when no prefix dips below the x-axis.
 
-Everything here is deliberately brute force: plain recursion over the step
-choices, every path visited once.  This is the ground truth the fast
-recurrence table and the generating functions are checked against, so it
-is written to be obviously correct rather than fast, and refuses lengths
-above a configurable cap (default 14) where full enumeration stops being
-a desk-scale computation.  Counting functions walk the recursion without
-materializing paths; only :func:`enumerate_grand` builds them.
+Everything here is deliberately brute force: one walker recurses over the
+four steps, visits every path once (no memo, no path objects) and tallies
+it at its final height; forbidding D at height 0 keeps it non-negative.
+This is the ground truth the fast recurrence table and the generating
+functions are checked against, so it is written to be obviously correct
+rather than fast, and refuses lengths above a configurable cap (default
+14) where full enumeration stops being a desk-scale computation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
-
-__all__ = [
-    "U",
-    "D",
-    "H",
-    "H2",
-    "STEP_EXTENT",
-    "STEP_RISE",
-    "DEFAULT_CAP",
-    "LatticePath",
-    "enumerate_grand",
-    "count_by_height",
-    "count_motzkin2",
-    "count_motzkin",
-    "count_grand_motzkin",
-    "recurrence_check",
-]
-
-U, D, H, H2 = "U", "D", "H", "H2"
-
-STEP_EXTENT = {U: 1, D: 1, H: 1, H2: 2}
-STEP_RISE = {U: 1, D: -1, H: 0, H2: 0}
+__all__ = ["DEFAULT_CAP", "count_by_height", "count_motzkin2"]
 
 DEFAULT_CAP = 14
 
 
-@dataclass(frozen=True)
-class LatticePath:
-    steps: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        for s in self.steps:
-            if s not in STEP_EXTENT:
-                raise ValueError(f"unknown step {s!r}")
-
-    @property
-    def length(self) -> int:
-        return sum(STEP_EXTENT[s] for s in self.steps)
-
-    @property
-    def height(self) -> int:
-        return sum(STEP_RISE[s] for s in self.steps)
-
-    def is_nonnegative(self) -> bool:
-        h = 0
-        for s in self.steps:
-            h += STEP_RISE[s]
-            if h < 0:
-                return False
-        return True
-
-    def __str__(self) -> str:
-        return " ".join(self.steps) if self.steps else "(empty)"
-
-
-def _check_cap(n: int, cap: int) -> None:
+def _walk(n: int, cap: int, nonnegative: bool) -> dict[int, int]:
+    """Number of paths of length n per final height, every path visited."""
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
     if n > cap:
@@ -81,23 +30,22 @@ def _check_cap(n: int, cap: int) -> None:
             f"length {n} exceeds the enumeration cap {cap}; "
             "full enumeration grows exponentially, raise the cap knowingly"
         )
+    floor = 0 if nonnegative else -n
+    counts = [0] * (2 * n + 1)
 
-
-def enumerate_grand(n: int, cap: int = DEFAULT_CAP) -> Iterator[LatticePath]:
-    """Every step sequence of total extent n, once each, no sign constraint."""
-    _check_cap(n, cap)
-
-    def walk(remaining: int, prefix: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
+    def walk(remaining: int, height: int) -> None:
         if remaining == 0:
-            yield prefix
+            counts[height + n] += 1
             return
-        for s in (U, D, H):
-            yield from walk(remaining - 1, prefix + (s,))
+        walk(remaining - 1, height + 1)
+        if height > floor:
+            walk(remaining - 1, height - 1)
+        walk(remaining - 1, height)
         if remaining >= 2:
-            yield from walk(remaining - 2, prefix + (H2,))
+            walk(remaining - 2, height)
 
-    for steps in walk(n, ()):
-        yield LatticePath(steps)
+    walk(n, 0)
+    return {h - n: c for h, c in enumerate(counts) if c}
 
 
 def count_by_height(n: int, cap: int = DEFAULT_CAP) -> dict[int, int]:
@@ -105,84 +53,9 @@ def count_by_height(n: int, cap: int = DEFAULT_CAP) -> dict[int, int]:
 
     Heights that no path reaches are omitted from the result.
     """
-    _check_cap(n, cap)
-    acc: dict[int, int] = {}
-
-    def walk(remaining: int, height: int) -> None:
-        if remaining == 0:
-            acc[height] = acc.get(height, 0) + 1
-            return
-        walk(remaining - 1, height + 1)
-        walk(remaining - 1, height - 1)
-        walk(remaining - 1, height)
-        if remaining >= 2:
-            walk(remaining - 2, height)
-
-    walk(n, 0)
-    return dict(sorted(acc.items()))
+    return _walk(n, cap, nonnegative=False)
 
 
 def count_motzkin2(n: int, cap: int = DEFAULT_CAP) -> int:
     """Non-negative paths of length n ending at height 0 (steps U, D, H, H2)."""
-    _check_cap(n, cap)
-
-    def walk(remaining: int, height: int) -> int:
-        if remaining == 0:
-            return 1 if height == 0 else 0
-        total = walk(remaining - 1, height + 1)
-        if height > 0:
-            total += walk(remaining - 1, height - 1)
-        total += walk(remaining - 1, height)
-        if remaining >= 2:
-            total += walk(remaining - 2, height)
-        return total
-
-    return walk(n, 0)
-
-
-def _count_three_step(n: int, nonnegative: bool) -> int:
-    def walk(remaining: int, height: int) -> int:
-        if nonnegative and height < 0:
-            return 0
-        if remaining == 0:
-            return 1 if height == 0 else 0
-        return (
-            walk(remaining - 1, height + 1)
-            + walk(remaining - 1, height - 1)
-            + walk(remaining - 1, height)
-        )
-
-    return walk(n, 0)
-
-
-def count_motzkin(n: int, cap: int = DEFAULT_CAP) -> int:
-    """Motzkin number: non-negative {U, D, H} paths of length n ending at 0."""
-    _check_cap(n, cap)
-    return _count_three_step(n, nonnegative=True)
-
-
-def count_grand_motzkin(n: int, cap: int = DEFAULT_CAP) -> int:
-    """Unconstrained {U, D, H} paths of length n ending at 0."""
-    _check_cap(n, cap)
-    return _count_three_step(n, nonnegative=False)
-
-
-def recurrence_check(n: int, j: int, cap: int = DEFAULT_CAP) -> bool:
-    """Does the height-j count at length n satisfy the rhombus recurrence?
-
-    Counts paths by considering what precedes the last step: the count at
-    (n, j) must equal the counts at (n-1, j-1), (n-1, j), (n-1, j+1) and
-    (n-2, j) combined.
-    """
-    if n < 2:
-        raise ValueError(f"the recurrence applies from length 2 on, got {n}")
-    here = count_by_height(n, cap)
-    above = count_by_height(n - 1, cap)
-    above2 = count_by_height(n - 2, cap)
-    expected = (
-        above.get(j - 1, 0)
-        + above.get(j, 0)
-        + above.get(j + 1, 0)
-        + above2.get(j, 0)
-    )
-    return here.get(j, 0) == expected
+    return _walk(n, cap, nonnegative=True).get(0, 0)

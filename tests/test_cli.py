@@ -1,16 +1,17 @@
 """Command-line surface: outputs, formats, exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from pascal_rhombus.cli import main
+from pascal_rhombus import cli
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -57,6 +58,14 @@ def test_entry_all_skips_inapplicable_methods(capsys):
     assert code == 0
     assert len(out.split()) == 3  # series (order 30) and oracle (cap 14) skipped
     assert "skipping series" in err and "skipping oracle" in err
+    assert "--order" in err and "cap" in err
+
+
+def test_method_choices_follow_route_table():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    method = next(a for a in sub.choices["entry"]._actions if a.dest == "method")
+    assert list(method.choices) == list(cli.ROUTES) + ["all"]
 
 
 def test_row(capsys):
@@ -133,9 +142,34 @@ def test_entry_negative_row_is_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["series", "F", "--order", "0"],
+    ["entry", "3", "0", "--order", "0"],
+    ["entry", "3", "0", "--oracle-cap", "-1"],
+    ["check", "--oracle-cap", "5"],
+    ["check", "--max-oracle-n", "0", "--oracle-cap", "-1"],
+])
+def test_out_of_range_bounds_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --")
+
+
+def test_internal_failure_exits_1(capsys, monkeypatch):
+    def broken(i, j):
+        raise ValueError("invariant violated")
+
+    monkeypatch.setattr(cli, "entry_convolved", broken)
+    code, out, err = run_cli(capsys, "entry", "4", "2", "--method", "convolved")
+    assert code == 1
+    assert out == ""
+    assert err.strip() == "error: internal: invariant violated"
+
+
 def test_bad_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
-        main(["entry", "3", "0", "--method", "bogus"])
+        cli.main(["entry", "3", "0", "--method", "bogus"])
     assert exc.value.code == 2
 
 
@@ -158,8 +192,6 @@ def test_check_skips_oracle_at_zero(capsys):
 
 
 def test_entry_all_disagreement_exits_1(capsys, monkeypatch):
-    from pascal_rhombus import cli
-
     monkeypatch.setattr(cli, "entry_triple_sum", lambda i, j: 999)
     code, out, err = run_cli(capsys, "entry", "4", "2", "--method", "all")
     assert code == 1
@@ -168,7 +200,6 @@ def test_entry_all_disagreement_exits_1(capsys, monkeypatch):
 
 
 def test_check_reports_failure_and_exits_1(capsys, monkeypatch):
-    from pascal_rhombus import cli
     from pascal_rhombus.checks import CheckResult
 
     fake = [CheckResult("method-agreement", False, "first disagreement at (i=7, j=3)")]
@@ -188,3 +219,28 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0
     assert proc.stdout.strip() == "82"
     assert proc.stderr == ""
+
+
+def test_closed_pipe_exits_0_quietly():
+    # row 800 is about 480 kB, far more than a pipe buffers
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pascal_rhombus", "row", "800"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(5) == b"1,800"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert err == b""
+
+
+def test_exact_decimals_past_the_digit_limit():
+    proc = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=640", "-m", "pascal_rhombus", "row", "1300"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert max(len(v) for v in proc.stdout.split(",")) > 640

@@ -3,14 +3,24 @@
 import pytest
 
 from pascal_rhombus import (
+    binomial,
     build_table,
     convolved_fib_gould,
     convolved_fib_product,
     convolved_fib_series,
     entry_convolved,
     entry_triple_sum,
-    entry_triple_sum_reference,
 )
+
+
+def entry_triple_sum_reference(i: int, j: int) -> int:
+    """The triple sum with the printed loose bound m <= i, for 0 <= |j| <= i."""
+    j = abs(j)
+    return sum(
+        binomial(2 * m + j, m) * binomial(l + j + 2 * m, l) * binomial(l, i - j - 2 * m - l)
+        for m in range(i + 1)
+        for l in range(i - j - 2 * m + 1)
+    )
 
 
 def test_triple_sum_examples():

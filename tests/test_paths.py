@@ -1,21 +1,81 @@
 """The exhaustive path oracle: enumeration, counts, recurrence."""
 
+from dataclasses import dataclass
+from itertools import accumulate
+
 import pytest
 
 from pascal_rhombus import (
-    LatticePath,
+    DEFAULT_CAP,
     build_table,
     count_by_height,
-    count_grand_motzkin,
-    count_motzkin,
     count_motzkin2,
-    enumerate_grand,
     motzkin2_gf,
-    recurrence_check,
 )
 
 MOTZKIN_NUMBERS = [1, 1, 2, 4, 9, 21, 51]        # A001006
 GRAND_MOTZKIN_NUMBERS = [1, 1, 3, 7, 19, 51]     # A002426
+
+# the package only counts paths by final height; paths themselves, their
+# enumeration and the counts below are references local to these tests
+U, D, H, H2 = "U", "D", "H", "H2"
+STEP_EXTENT = {U: 1, D: 1, H: 1, H2: 2}
+STEP_RISE = {U: 1, D: -1, H: 0, H2: 0}
+
+
+@dataclass(frozen=True)
+class LatticePath:
+    steps: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if not STEP_EXTENT.keys() >= set(self.steps):
+            raise ValueError(f"unknown step in {self.steps}")
+
+    @property
+    def length(self) -> int:
+        return sum(STEP_EXTENT[s] for s in self.steps)
+
+    @property
+    def height(self) -> int:
+        return sum(STEP_RISE[s] for s in self.steps)
+
+    def is_nonnegative(self) -> bool:
+        return all(h >= 0 for h in accumulate(STEP_RISE[s] for s in self.steps))
+
+
+def enumerate_grand(n, cap=DEFAULT_CAP):
+    """Every step sequence of total extent n, once each, no sign constraint."""
+    if n > cap:
+        raise ValueError(f"length {n} exceeds the enumeration cap {cap}")
+
+    def walk(remaining, prefix):
+        if remaining == 0:
+            yield prefix
+            return
+        for s in (U, D, H):
+            yield from walk(remaining - 1, prefix + (s,))
+        if remaining >= 2:
+            yield from walk(remaining - 2, prefix + (H2,))
+
+    yield from map(LatticePath, walk(n, ()))
+
+
+def count_three_step(n, nonnegative):
+    """{U, D, H} paths of length n ending at 0, optionally non-negative."""
+    return sum(
+        1 for p in enumerate_grand(n)
+        if H2 not in p.steps and p.height == 0 and (not nonnegative or p.is_nonnegative())
+    )
+
+
+def recurrence_check(n, j):
+    """Split paths by their last step: does the count at (n, j) equal the
+    counts at (n-1, j-1), (n-1, j), (n-1, j+1) and (n-2, j) combined?"""
+    if n < 2:
+        raise ValueError(f"the recurrence applies from length 2 on, got {n}")
+    above, above2 = count_by_height(n - 1), count_by_height(n - 2)
+    expected = sum(above.get(k, 0) for k in (j - 1, j, j + 1)) + above2.get(j, 0)
+    return count_by_height(n).get(j, 0) == expected
 
 
 def test_path_length_counts_long_step_twice():
@@ -98,17 +158,17 @@ def test_count_motzkin2_small():
 
 
 def test_count_motzkin2_matches_series():
-    coeffs = motzkin2_gf(11).integer_coefficients()
-    for n in range(11):
+    coeffs = motzkin2_gf(14).integer_coefficients()
+    for n in range(14):
         assert count_motzkin2(n) == coeffs[n]
 
 
 def test_motzkin_numbers():
-    assert [count_motzkin(n) for n in range(7)] == MOTZKIN_NUMBERS
+    assert [count_three_step(n, nonnegative=True) for n in range(7)] == MOTZKIN_NUMBERS
 
 
 def test_grand_motzkin_numbers():
-    assert [count_grand_motzkin(n) for n in range(6)] == GRAND_MOTZKIN_NUMBERS
+    assert [count_three_step(n, nonnegative=False) for n in range(6)] == GRAND_MOTZKIN_NUMBERS
 
 
 def test_recurrence_check_examples():
@@ -125,8 +185,8 @@ def test_recurrence_check_exhaustive():
 
 
 def test_counts_match_table_entries():
-    table = build_table(8)
-    for n in range(9):
+    table = build_table(13)
+    for n in range(14):
         counts = count_by_height(n)
         for j in range(-n, n + 1):
             assert counts.get(j, 0) == table.entry(n, j)
