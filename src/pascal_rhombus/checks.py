@@ -2,14 +2,18 @@
 
 Every quantity in this library is computable along several independent
 routes; each function here runs one family of comparisons over explicit
-bounds and reports the first disagreement it finds.  The functions accept
-a prebuilt :class:`~pascal_rhombus.rhombus.RhombusTable` so a corrupted
-table can be injected to prove the checks actually bite.
+bounds.  Each suite lazily yields labelled points, with the value every
+route gives there, to :func:`first_disagreement`.  That helper is the one
+rule of agreement (exact equality of all values) and of the failure detail,
+and it stops at the first point that fails.
+The functions accept a prebuilt :class:`~pascal_rhombus.rhombus.RhombusTable`
+so a corrupted table can be injected to prove the checks actually bite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .binomials import binomial
 from .closedforms import (
@@ -21,7 +25,9 @@ from .closedforms import (
 )
 from .paths import DEFAULT_CAP, count_by_height, count_motzkin2
 from .rhombus import RhombusTable, build_table
-from .series import TruncatedSeries, catalan_gf, column_gf, motzkin2_gf
+from .series import (
+    COLUMN_METHODS, MOTZKIN2_METHODS, TruncatedSeries, catalan_gf, column_gf, motzkin2_gf,
+)
 
 __all__ = [
     "CheckResult",
@@ -33,8 +39,11 @@ __all__ = [
     "check_convolved_fibonacci",
     "check_catalan_binomial",
     "check_symmetry",
+    "first_disagreement",
     "run_all",
 ]
+
+Points = Iterable[tuple[str, dict[str, object]]]
 
 
 @dataclass
@@ -49,6 +58,30 @@ class CheckResult:
         if self.skipped:
             return "SKIPPED"
         return "PASS" if self.passed else "FAIL"
+
+
+def first_disagreement(points: Points) -> str | None:
+    """``None`` if at every ``(where, {route: value})`` point all routes give
+    the same value, else ``first disagreement at <where>: r1=v1, r2=v2, ...``."""
+    for where, values in points:
+        if len(set(values.values())) != 1:
+            listed = ", ".join(f"{route}={value}" for route, value in values.items())
+            return f"first disagreement at {where}: {listed}"
+    return None
+
+
+def _agreement(name: str, points: Points) -> CheckResult:
+    detail = first_disagreement(points)
+    return CheckResult(name, detail is None, detail or "")
+
+
+def _coefficients(where: str, routes: dict[str, TruncatedSeries]) -> Points:
+    """One point per power x^k, comparing coefficient k of every series."""
+    order = min(series.order for series in routes.values())
+    return (
+        (f"x^{k}{where}", {route: series.coeffs[k] for route, series in routes.items()})
+        for k in range(order)
+    )
 
 
 def _table_or_build(table: RhombusTable | None, depth: int) -> RhombusTable:
@@ -73,21 +106,20 @@ def check_method_agreement(
         j: column_gf(j, series_order).integer_coefficients()
         for j in range(min(series_j_cap, max_i) + 1)
     }
-    for i in range(max_i + 1):
-        for j in range(-i, i + 1):
-            values = {
-                "recurrence": table.entry(i, j),
-                "triple_sum": entry_triple_sum(i, j),
-                "convolved": entry_convolved(i, j),
-            }
-            if abs(j) <= series_j_cap and i < series_order:
-                values["series"] = columns[abs(j)][i]
-            if len(set(values.values())) != 1:
-                detail = f"first disagreement at (i={i}, j={j}): " + ", ".join(
-                    f"{k}={v}" for k, v in values.items()
-                )
-                return CheckResult(name, False, detail)
-    return CheckResult(name, True)
+
+    def points():
+        for i in range(max_i + 1):
+            for j in range(-i, i + 1):
+                values = {
+                    "recurrence": table.entry(i, j),
+                    "triple_sum": entry_triple_sum(i, j),
+                    "convolved": entry_convolved(i, j),
+                }
+                if abs(j) <= series_j_cap and i < series_order:
+                    values["series"] = columns[abs(j)][i]
+                yield f"(i={i}, j={j})", values
+
+    return _agreement(name, points())
 
 
 def check_oracle_agreement(
@@ -102,40 +134,23 @@ def check_oracle_agreement(
         return CheckResult(name, True, "max_n is 0", skipped=True)
     table = _table_or_build(table, max_n)
     b = motzkin2_gf(max_n + 1).integer_coefficients()
-    for n in range(max_n + 1):
-        counts = count_by_height(n, cap=oracle_cap)
-        for j in range(-n, n + 1):
-            got = counts.get(j, 0)
-            want = table.entry(n, j)
-            if got != want:
-                return CheckResult(
-                    name, False,
-                    f"first disagreement at (n={n}, j={j}): oracle={got}, table={want}",
-                )
-        closed = count_motzkin2(n, cap=oracle_cap)
-        if closed != b[n]:
-            return CheckResult(
-                name, False,
-                f"closed-path count at n={n}: oracle={closed}, series={b[n]}",
-            )
-    return CheckResult(name, True)
+
+    def points():
+        for n in range(max_n + 1):
+            counts = count_by_height(n, cap=oracle_cap)
+            for j in range(-n, n + 1):
+                yield f"(n={n}, j={j})", {"oracle": counts.get(j, 0), "table": table.entry(n, j)}
+            closed = count_motzkin2(n, cap=oracle_cap)
+            yield f"closed paths of length n={n}", {"oracle": closed, "series": b[n]}
+
+    return _agreement(name, points())
 
 
 def check_motzkin2_routes(order: int = 30) -> CheckResult:
     """All three constructions of the motzkin2 series agree coefficient-wise."""
     name = f"motzkin2-route-agreement (order {order})"
-    closed = motzkin2_gf(order, "closed_form")
-    comp = motzkin2_gf(order, "compositional")
-    rec = motzkin2_gf(order, "functional_equation")
-    for k in range(order):
-        trio = {closed.coeffs[k], comp.coeffs[k], rec.coeffs[k]}
-        if len(trio) != 1:
-            return CheckResult(
-                name, False,
-                f"first disagreement at x^{k}: closed_form={closed.coeffs[k]}, "
-                f"compositional={comp.coeffs[k]}, functional_equation={rec.coeffs[k]}",
-            )
-    return CheckResult(name, True)
+    routes = {method: motzkin2_gf(order, method) for method in MOTZKIN2_METHODS}
+    return _agreement(name, _coefficients("", routes))
 
 
 def check_column_functional_equation(max_j: int = 5, order: int = 30) -> CheckResult:
@@ -144,35 +159,29 @@ def check_column_functional_equation(max_j: int = 5, order: int = 30) -> CheckRe
     b = motzkin2_gf(order)
     x_plus_x2 = TruncatedSeries.from_coeffs([0, 1, 1], order)
     two_x2_b = TruncatedSeries.monomial(2, order) * b * 2
-    for j in range(max_j + 1):
-        for method in ("closed_form", "functional_equation"):
-            m = column_gf(j, order, method)
-            rhs = TruncatedSeries.monomial(j, order) * b ** j + x_plus_x2 * m + two_x2_b * m
-            if m != rhs:
-                k = next(k for k in range(order) if m.coeffs[k] != rhs.coeffs[k])
-                return CheckResult(
-                    name, False,
-                    f"column {j} ({method}) violates the equation at x^{k}",
-                )
-    return CheckResult(name, True)
+
+    def points():
+        for j in range(max_j + 1):
+            for method in COLUMN_METHODS:
+                m = column_gf(j, order, method)
+                rhs = TruncatedSeries.monomial(j, order) * b ** j + x_plus_x2 * m + two_x2_b * m
+                yield from _coefficients(f" of column {j} ({method})", {"lhs": m, "rhs": rhs})
+
+    return _agreement(name, points())
 
 
 def check_column_routes(max_j: int = 6, order: int = 30) -> CheckResult:
     """Both column constructions agree and give non-negative integers."""
     name = f"column-route-agreement (j <= {max_j})"
     for j in range(max_j + 1):
-        closed = column_gf(j, order, "closed_form")
-        rec = column_gf(j, order, "functional_equation")
-        if closed != rec:
-            k = next(k for k in range(order) if closed.coeffs[k] != rec.coeffs[k])
-            return CheckResult(
-                name, False,
-                f"column {j} routes disagree at x^{k}: "
-                f"closed_form={closed.coeffs[k]}, functional_equation={rec.coeffs[k]}",
-            )
-        if not closed.is_integral():
-            k = next(k for k in range(order) if closed.coeffs[k].denominator != 1)
-            return CheckResult(name, False, f"column {j} has non-integer coefficient at x^{k}")
+        routes = {method: column_gf(j, order, method) for method in COLUMN_METHODS}
+        detail = first_disagreement(_coefficients(f" of column {j}", routes))
+        if detail:
+            return CheckResult(name, False, detail)
+        closed = routes["closed_form"]
+        for k, c in enumerate(closed.coeffs):
+            if c.denominator != 1:
+                return CheckResult(name, False, f"column {j} has non-integer coefficient at x^{k}")
         if any(c < 0 for c in closed.coeffs):
             return CheckResult(name, False, f"column {j} has a negative coefficient")
     return CheckResult(name, True)
@@ -187,23 +196,17 @@ def check_convolved_fibonacci(
     """Binomial form = series form everywhere tested; composition-product
     form agrees on the smaller range it can afford."""
     name = f"convolved-fibonacci (j <= {series_j}, r <= {series_r})"
-    for r in range(1, series_r + 1):
-        series = convolved_fib_series(r, series_j + 1)
-        for j in range(series_j + 1):
-            g = convolved_fib_gould(j, r)
-            if g != series[j]:
-                return CheckResult(
-                    name, False,
-                    f"first disagreement at (j={j}, r={r}): binomial={g}, series={series[j]}",
-                )
-            if j <= product_j and r <= product_r:
-                p = convolved_fib_product(j, r)
-                if p != series[j]:
-                    return CheckResult(
-                        name, False,
-                        f"first disagreement at (j={j}, r={r}): product={p}, series={series[j]}",
-                    )
-    return CheckResult(name, True)
+
+    def points():
+        for r in range(1, series_r + 1):
+            series = convolved_fib_series(r, series_j + 1)
+            for j in range(series_j + 1):
+                values = {"binomial": convolved_fib_gould(j, r), "series": series[j]}
+                if j <= product_j and r <= product_r:
+                    values["product"] = convolved_fib_product(j, r)
+                yield f"(j={j}, r={r})", values
+
+    return _agreement(name, points())
 
 
 def check_catalan_binomial(max_j: int = 6, order: int = 30) -> CheckResult:
@@ -218,31 +221,24 @@ def check_catalan_binomial(max_j: int = 6, order: int = 30) -> CheckResult:
     c = catalan_gf(order)
     denom = TruncatedSeries.one(order) - TruncatedSeries.monomial(1, order) * c * 2
     inv = denom.reciprocal()
-    for j in range(max_j + 1):
-        lhs = c ** j * inv
-        rhs = TruncatedSeries.from_coeffs([binomial(2 * m + j, m) for m in range(order)])
-        if lhs != rhs:
-            k = next(k for k in range(order) if lhs.coeffs[k] != rhs.coeffs[k])
-            return CheckResult(
-                name, False,
-                f"j={j} disagrees at x^{k}: series={lhs.coeffs[k]}, binomial={rhs.coeffs[k]}",
-            )
-    return CheckResult(name, True)
+
+    def points():
+        for j in range(max_j + 1):
+            rhs = TruncatedSeries.from_coeffs([binomial(2 * m + j, m) for m in range(order)])
+            yield from _coefficients(f" of j={j}", {"series": c ** j * inv, "binomial": rhs})
+
+    return _agreement(name, points())
 
 
 def check_symmetry(max_i: int = 50, table: RhombusTable | None = None) -> CheckResult:
     """entry(i, j) = entry(i, -j), both halves computed independently."""
     name = f"symmetry (i <= {max_i})"
     table = _table_or_build(table, max_i)
-    for i in range(max_i + 1):
-        for j in range(1, i + 1):
-            if table.entry(i, j) != table.entry(i, -j):
-                return CheckResult(
-                    name, False,
-                    f"first asymmetry at i={i}, j={j}: "
-                    f"{table.entry(i, j)} vs {table.entry(i, -j)}",
-                )
-    return CheckResult(name, True)
+    return _agreement(name, (
+        (f"(i={i}, j={j})", {"right": table.entry(i, j), "left": table.entry(i, -j)})
+        for i in range(max_i + 1)
+        for j in range(1, i + 1)
+    ))
 
 
 def run_all(

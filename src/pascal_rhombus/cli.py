@@ -18,9 +18,9 @@ import json
 import os
 import re
 import sys
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TextIO
 
-from .checks import run_all
+from .checks import first_disagreement, run_all
 from .closedforms import entry_convolved, entry_triple_sum
 from .paths import DEFAULT_CAP, count_by_height
 from .rhombus import build_table
@@ -39,6 +39,17 @@ class UsageError(Exception):
 
 class OutOfReach(UsageError):
     """A route cannot reach the requested entry within its --order or --oracle-cap."""
+
+
+def _say(text: str, stream: TextIO) -> None:
+    try:
+        print(text, file=stream)
+        stream.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: point the stream at devnull so the flush
+        # at shutdown cannot fail again; the caller keeps the command's verdict
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
 
 
 def _emit_sequence(values: list[int], fmt: str) -> str:
@@ -93,18 +104,14 @@ def _cmd_entry(args: argparse.Namespace) -> tuple[int, str]:
         try:
             values[method] = route(i, j, args)
         except OutOfReach as exc:
-            print(f"skipping {method} method ({exc})", file=sys.stderr)
+            _say(f"skipping {method} method ({exc})", sys.stderr)
 
-    agree = len(set(values.values())) == 1
-    if not agree:
-        print(
-            f"methods disagree at (i={i}, j={j}): "
-            + ", ".join(f"{k}={v}" for k, v in values.items()),
-            file=sys.stderr,
-        )
+    detail = first_disagreement([(f"(i={i}, j={j})", values)])
+    if detail:
+        _say(detail, sys.stderr)
     # one value per line, as csv prints a sequence, unless json was asked for
     fmt = "json" if args.format == "json" else "csv"
-    return (EXIT_OK if agree else EXIT_DISAGREEMENT), _emit_sequence(list(values.values()), fmt)
+    return (EXIT_DISAGREEMENT if detail else EXIT_OK), _emit_sequence(list(values.values()), fmt)
 
 
 def _cmd_row(args: argparse.Namespace) -> tuple[int, str]:
@@ -215,19 +222,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         verdict, text = args.func(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}", sys.stderr)
         return EXIT_USAGE
     except (ValueError, IndexError) as exc:
-        print(f"error: internal: {exc}", file=sys.stderr)
+        _say(f"error: internal: {exc}", sys.stderr)
         return EXIT_DISAGREEMENT
-    try:
-        print(text)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed the pipe: point stdout at devnull so the flush
-        # at shutdown cannot fail again, and keep the command's verdict
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+    _say(text, sys.stdout)
     return verdict
 
 

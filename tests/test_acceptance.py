@@ -179,5 +179,14 @@ def test_check_command_defaults_all_pass(capsys):
         code = main(["check"])
     out = capsys.readouterr().out
     assert code == 0
-    assert all(line.startswith("PASS") for line in out.strip().splitlines())
+    assert out.splitlines() == [
+        "PASS    method-agreement (i <= 40)",
+        "PASS    oracle-agreement (n <= 12)",
+        "PASS    motzkin2-route-agreement (order 30)",
+        "PASS    column-functional-equation (j <= 5)",
+        "PASS    column-route-agreement (j <= 6)",
+        "PASS    convolved-fibonacci (j <= 20, r <= 6)",
+        "PASS    catalan-binomial-identity (j <= 6)",
+        "PASS    symmetry (i <= 40)",
+    ]
     report("CLI", "default `check` run reports PASS on every suite", watch)

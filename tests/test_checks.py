@@ -1,6 +1,6 @@
 """The consistency-check suites, including proof that they catch faults."""
 
-from pascal_rhombus import RhombusTable, build_table, run_all
+from pascal_rhombus import RhombusTable, TruncatedSeries, build_table, checks, run_all
 from pascal_rhombus.checks import (
     check_catalan_binomial,
     check_column_functional_equation,
@@ -10,6 +10,7 @@ from pascal_rhombus.checks import (
     check_motzkin2_routes,
     check_oracle_agreement,
     check_symmetry,
+    first_disagreement,
 )
 
 
@@ -17,6 +18,26 @@ def corrupted_table(depth=12, i=7, j=3, delta=1):
     rows = [build_table(depth).row(k) for k in range(depth + 1)]
     rows[i][j + i] += delta
     return RhombusTable(rows)
+
+
+def bumped(series, k):
+    """The same series with coefficient k raised by one."""
+    coeffs = list(series.coeffs)
+    coeffs[k] += 1
+    return TruncatedSeries(tuple(coeffs))
+
+
+def test_first_disagreement_names_the_first_failing_point():
+    consumed = []
+
+    def points():
+        for k in range(5):
+            consumed.append(k)
+            yield f"x^{k}", {"a": k, "b": -1 if k == 2 else k}
+
+    assert first_disagreement(points()) == "first disagreement at x^2: a=2, b=-1"
+    assert consumed == [0, 1, 2]
+    assert first_disagreement([("p", {"a": 1, "b": 1}), ("q", {"a": 2})]) is None
 
 
 def test_run_all_passes_at_reduced_bounds():
@@ -63,3 +84,79 @@ def test_individual_suites_pass():
     assert check_column_routes(6, 30).passed
     assert check_convolved_fibonacci().passed
     assert check_catalan_binomial(6, 30).passed
+
+
+def test_motzkin2_routes_catch_corruption(monkeypatch):
+    real = checks.motzkin2_gf
+
+    def corrupted(order, method="closed_form"):
+        series = real(order, method)
+        return bumped(series, 9) if method == "compositional" else series
+
+    monkeypatch.setattr(checks, "motzkin2_gf", corrupted)
+    result = check_motzkin2_routes(20)
+    assert result.status == "FAIL"
+    assert "x^9" in result.detail
+    assert "compositional=" in result.detail
+
+
+def test_column_functional_equation_catches_corruption(monkeypatch):
+    real = checks.column_gf
+
+    def corrupted(j, order, method="closed_form"):
+        series = real(j, order, method)
+        return bumped(series, 7) if (j, method) == (2, "functional_equation") else series
+
+    monkeypatch.setattr(checks, "column_gf", corrupted)
+    result = check_column_functional_equation(4, 16)
+    assert result.status == "FAIL"
+    assert "column 2" in result.detail and "x^7" in result.detail
+    assert "functional_equation" in result.detail
+
+
+def test_column_routes_catch_corruption(monkeypatch):
+    real = checks.column_gf
+
+    def corrupted(j, order, method="closed_form"):
+        series = real(j, order, method)
+        return bumped(series, 5) if (j, method) == (3, "closed_form") else series
+
+    monkeypatch.setattr(checks, "column_gf", corrupted)
+    result = check_column_routes(5, 16)
+    assert result.status == "FAIL"
+    assert "column 3" in result.detail and "x^5" in result.detail
+    assert "closed_form=" in result.detail and "functional_equation=" in result.detail
+
+
+def test_convolved_fibonacci_catches_corruption(monkeypatch):
+    real = checks.convolved_fib_gould
+    monkeypatch.setattr(
+        checks, "convolved_fib_gould",
+        lambda j, r: real(j, r) + ((j, r) == (9, 2)),
+    )
+    result = check_convolved_fibonacci()
+    assert result.status == "FAIL"
+    assert "(j=9, r=2)" in result.detail
+    assert "binomial=" in result.detail
+
+
+def test_catalan_binomial_catches_corruption(monkeypatch):
+    real = checks.binomial
+    # binomial(2m + j, m) with m = 4, j = 2
+    monkeypatch.setattr(checks, "binomial", lambda n, k: real(n, k) + ((n, k) == (10, 4)))
+    result = check_catalan_binomial(6, 16)
+    assert result.status == "FAIL"
+    assert "j=2" in result.detail and "x^4" in result.detail
+
+
+def test_suite_stops_at_first_disagreement(monkeypatch):
+    real = checks.convolved_fib_gould
+    calls = []
+
+    def corrupted(j, r):
+        calls.append((j, r))
+        return real(j, r) + ((j, r) == (3, 1))
+
+    monkeypatch.setattr(checks, "convolved_fib_gould", corrupted)
+    assert not check_convolved_fibonacci().passed
+    assert calls == [(0, 1), (1, 1), (2, 1), (3, 1)]

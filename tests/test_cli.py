@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 
@@ -233,6 +234,28 @@ def test_closed_pipe_exits_0_quietly():
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 0
     assert err == b""
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["entry", "35", "0", "--method", "all"], 0, b"119511225134954688\n" * 3),
+    (["entry", "-1", "0"], 2, b""),
+    (["series", "Q"], 2, b""),
+], ids=["entry-all-skipping", "entry-negative-row", "series-unknown"])
+def test_closed_stderr_keeps_the_verdict(argv, code, out):
+    # stderr is a pipe whose reader has gone before the first message
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pascal_rhombus", *argv],
+            stdout=subprocess.PIPE,
+            stderr=write_end,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code
+    assert proc.stdout == out
 
 
 def test_exact_decimals_past_the_digit_limit():
