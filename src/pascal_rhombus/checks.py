@@ -6,8 +6,9 @@ bounds.  Each suite lazily yields labelled points, with the value every
 route gives there, to :func:`first_disagreement`.  That helper is the one
 rule of agreement (exact equality of all values) and of the failure detail,
 and it stops at the first point that fails.
-The functions accept a prebuilt :class:`~pascal_rhombus.rhombus.RhombusTable`
-so a corrupted table can be injected to prove the checks actually bite.
+Each suite looks its routes up by name in this module, so a test proves that
+the checks bite by monkeypatching one name here (``build_table``,
+``column_gf``, ...) with a corrupted version.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .closedforms import (
     entry_triple_sum,
 )
 from .paths import DEFAULT_CAP, count_by_height, count_motzkin2
-from .rhombus import RhombusTable, build_table
+from .rhombus import build_table
 from .series import (
     COLUMN_METHODS, MOTZKIN2_METHODS, TruncatedSeries, catalan_gf, column_gf, motzkin2_gf,
 )
@@ -84,24 +85,12 @@ def _coefficients(where: str, routes: dict[str, TruncatedSeries]) -> Points:
     )
 
 
-def _table_or_build(table: RhombusTable | None, depth: int) -> RhombusTable:
-    if table is None:
-        return build_table(depth)
-    if table.depth < depth:
-        raise ValueError(f"supplied table depth {table.depth} < required {depth}")
-    return table
-
-
-def check_method_agreement(
-    max_i: int = 40,
-    series_order: int = 30,
-    series_j_cap: int = 6,
-    table: RhombusTable | None = None,
-) -> CheckResult:
+def check_method_agreement(max_i: int = 40, series_order: int = 30) -> CheckResult:
     """recurrence = triple sum = convolved form for all entries to max_i,
     and = series coefficients where the column generating functions reach."""
     name = f"method-agreement (i <= {max_i})"
-    table = _table_or_build(table, max_i)
+    series_j_cap = 6
+    table = build_table(max_i)
     columns = {
         j: column_gf(j, series_order).integer_coefficients()
         for j in range(min(series_j_cap, max_i) + 1)
@@ -122,17 +111,15 @@ def check_method_agreement(
     return _agreement(name, points())
 
 
-def check_oracle_agreement(
-    max_n: int = 12,
-    oracle_cap: int = DEFAULT_CAP,
-    table: RhombusTable | None = None,
-) -> CheckResult:
+def check_oracle_agreement(max_n: int = 12, oracle_cap: int = DEFAULT_CAP) -> CheckResult:
     """Exhaustive path counts equal table entries (all heights, n <= max_n)
     and the closed-path counts equal the motzkin2 series coefficients."""
+    if max_n < 0:
+        raise ValueError(f"max_n must be >= 0, got {max_n}")
     name = f"oracle-agreement (n <= {max_n})"
-    if max_n <= 0:
+    if max_n == 0:
         return CheckResult(name, True, "max_n is 0", skipped=True)
-    table = _table_or_build(table, max_n)
+    table = build_table(max_n)
     b = motzkin2_gf(max_n + 1).integer_coefficients()
 
     def points():
@@ -153,8 +140,9 @@ def check_motzkin2_routes(order: int = 30) -> CheckResult:
     return _agreement(name, _coefficients("", routes))
 
 
-def check_column_functional_equation(max_j: int = 5, order: int = 30) -> CheckResult:
+def check_column_functional_equation(order: int = 30) -> CheckResult:
     """Each column series M satisfies M = x^j B^j + (x + x^2) M + 2 x^2 B M."""
+    max_j = 5
     name = f"column-functional-equation (j <= {max_j})"
     b = motzkin2_gf(order)
     x_plus_x2 = TruncatedSeries.from_coeffs([0, 1, 1], order)
@@ -170,8 +158,9 @@ def check_column_functional_equation(max_j: int = 5, order: int = 30) -> CheckRe
     return _agreement(name, points())
 
 
-def check_column_routes(max_j: int = 6, order: int = 30) -> CheckResult:
+def check_column_routes(order: int = 30) -> CheckResult:
     """Both column constructions agree and give non-negative integers."""
+    max_j = 6
     name = f"column-route-agreement (j <= {max_j})"
     for j in range(max_j + 1):
         routes = {method: column_gf(j, order, method) for method in COLUMN_METHODS}
@@ -187,14 +176,10 @@ def check_column_routes(max_j: int = 6, order: int = 30) -> CheckResult:
     return CheckResult(name, True)
 
 
-def check_convolved_fibonacci(
-    series_j: int = 20,
-    series_r: int = 6,
-    product_j: int = 12,
-    product_r: int = 4,
-) -> CheckResult:
+def check_convolved_fibonacci() -> CheckResult:
     """Binomial form = series form everywhere tested; composition-product
     form agrees on the smaller range it can afford."""
+    series_j, series_r, product_j, product_r = 20, 6, 12, 4
     name = f"convolved-fibonacci (j <= {series_j}, r <= {series_r})"
 
     def points():
@@ -209,7 +194,7 @@ def check_convolved_fibonacci(
     return _agreement(name, points())
 
 
-def check_catalan_binomial(max_j: int = 6, order: int = 30) -> CheckResult:
+def check_catalan_binomial(order: int = 30) -> CheckResult:
     """C(x)^j / (1 - 2x C(x)) = sum_m binomial(2m+j, m) x^m, coefficient-wise.
 
     This is the corrected form.  A variant seen in the literature,
@@ -217,6 +202,7 @@ def check_catalan_binomial(max_j: int = 6, order: int = 30) -> CheckResult:
     is off by a factor 2^k (its k = 1 instance already gives constant term
     2 against 1) and is deliberately not asserted anywhere.
     """
+    max_j = 6
     name = f"catalan-binomial-identity (j <= {max_j})"
     c = catalan_gf(order)
     denom = TruncatedSeries.one(order) - TruncatedSeries.monomial(1, order) * c * 2
@@ -230,10 +216,10 @@ def check_catalan_binomial(max_j: int = 6, order: int = 30) -> CheckResult:
     return _agreement(name, points())
 
 
-def check_symmetry(max_i: int = 50, table: RhombusTable | None = None) -> CheckResult:
+def check_symmetry(max_i: int = 50) -> CheckResult:
     """entry(i, j) = entry(i, -j), both halves computed independently."""
     name = f"symmetry (i <= {max_i})"
-    table = _table_or_build(table, max_i)
+    table = build_table(max_i)
     return _agreement(name, (
         (f"(i={i}, j={j})", {"right": table.entry(i, j), "left": table.entry(i, -j)})
         for i in range(max_i + 1)
@@ -246,17 +232,15 @@ def run_all(
     max_oracle_n: int = 12,
     series_order: int = 30,
     oracle_cap: int = DEFAULT_CAP,
-    table: RhombusTable | None = None,
 ) -> list[CheckResult]:
     """Run every suite; the CLI's one-shot consistency check."""
-    table = _table_or_build(table, max(max_i, max_oracle_n))
     return [
-        check_method_agreement(max_i, series_order, table=table),
-        check_oracle_agreement(max_oracle_n, oracle_cap, table=table),
+        check_method_agreement(max_i, series_order),
+        check_oracle_agreement(max_oracle_n, oracle_cap),
         check_motzkin2_routes(series_order),
-        check_column_functional_equation(5, series_order),
-        check_column_routes(6, series_order),
+        check_column_functional_equation(series_order),
+        check_column_routes(series_order),
         check_convolved_fibonacci(),
-        check_catalan_binomial(6, series_order),
-        check_symmetry(max_i, table=table),
+        check_catalan_binomial(series_order),
+        check_symmetry(max_i),
     ]

@@ -50,6 +50,7 @@ def _say(text: str, stream: TextIO) -> None:
         # at shutdown cannot fail again; the caller keeps the command's verdict
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, stream.fileno())
+        os.close(devnull)
 
 
 def _emit_sequence(values: list[int], fmt: str) -> str:

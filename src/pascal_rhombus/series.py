@@ -72,30 +72,21 @@ class TruncatedSeries:
         return cls(tuple(coeffs))
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls.from_coeffs([0], order)
-
-    @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
         return cls.from_coeffs([1], order)
 
     @classmethod
-    def monomial(cls, k: int, order: int, coefficient: Scalar = 1) -> "TruncatedSeries":
-        """coefficient * x^k, reduced mod x^order."""
+    def monomial(cls, k: int, order: int) -> "TruncatedSeries":
+        """x^k, reduced mod x^order."""
         if k < 0:
             raise ValueError(f"monomial exponent must be >= 0, got {k}")
-        return cls.from_coeffs([0] * k + [coefficient], order)
+        return cls.from_coeffs([0] * k + [1], order)
 
     # -- inspection --------------------------------------------------------
 
     @property
     def order(self) -> int:
         return len(self.coeffs)
-
-    def coefficient(self, k: int) -> Fraction:
-        if not 0 <= k < self.order:
-            raise IndexError(f"coefficient {k} not retained at order {self.order}")
-        return self.coeffs[k]
 
     def valuation(self) -> int:
         """Index of the first nonzero coefficient; ``order`` if all are zero."""
@@ -104,31 +95,12 @@ class TruncatedSeries:
                 return k
         return self.order
 
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
     def integer_coefficients(self) -> list[int]:
         """Coefficients as ints; raises if any denominator is not 1."""
         for k, c in enumerate(self.coeffs):
             if c.denominator != 1:
                 raise ValueError(f"coefficient of x^{k} is {c}, not an integer")
         return [c.numerator for c in self.coeffs]
-
-    def __str__(self) -> str:
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            else:
-                xk = "x" if k == 1 else f"x^{k}"
-                terms.append(xk if c == 1 else f"{c}*{xk}")
-            if len(terms) == 6:
-                terms.append("...")
-                break
-        body = " + ".join(terms) if terms else "0"
-        return f"{body} + O(x^{self.order})"
 
     def _require_same_order(self, other: "TruncatedSeries", op: str) -> None:
         if self.order != other.order:
@@ -146,9 +118,6 @@ class TruncatedSeries:
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._require_same_order(other, "sub")
         return TruncatedSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-a for a in self.coeffs))
 
     def __mul__(self, other: Union["TruncatedSeries", Scalar]) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):

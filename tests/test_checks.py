@@ -1,5 +1,7 @@
 """The consistency-check suites, including proof that they catch faults."""
 
+import pytest
+
 from pascal_rhombus import RhombusTable, TruncatedSeries, build_table, checks, run_all
 from pascal_rhombus.checks import (
     check_catalan_binomial,
@@ -14,10 +16,15 @@ from pascal_rhombus.checks import (
 )
 
 
-def corrupted_table(depth=12, i=7, j=3, delta=1):
-    rows = [build_table(depth).row(k) for k in range(depth + 1)]
-    rows[i][j + i] += delta
-    return RhombusTable(rows)
+def corrupt_table(monkeypatch, i=7, j=3):
+    """Make every table the suites build carry r[i][j] raised by one."""
+
+    def corrupted(depth):
+        rows = [build_table(depth).row(k) for k in range(depth + 1)]
+        rows[i][j + i] += 1
+        return RhombusTable(rows)
+
+    monkeypatch.setattr(checks, "build_table", corrupted)
 
 
 def bumped(series, k):
@@ -54,21 +61,24 @@ def test_status_strings():
     assert all(r.status == "PASS" for r in results if not r.skipped)
 
 
-def test_method_agreement_catches_corruption():
-    result = check_method_agreement(max_i=12, series_order=13, table=corrupted_table())
+def test_method_agreement_catches_corruption(monkeypatch):
+    corrupt_table(monkeypatch)
+    result = check_method_agreement(max_i=12, series_order=13)
     assert not result.passed
     assert "(i=7, j=3)" in result.detail
     assert "recurrence=" in result.detail
 
 
-def test_symmetry_catches_corruption():
-    result = check_symmetry(max_i=12, table=corrupted_table())
+def test_symmetry_catches_corruption(monkeypatch):
+    corrupt_table(monkeypatch)
+    result = check_symmetry(max_i=12)
     assert not result.passed
     assert "i=7" in result.detail
 
 
-def test_oracle_catches_corruption():
-    result = check_oracle_agreement(max_n=8, table=corrupted_table(depth=8, i=6, j=-2))
+def test_oracle_catches_corruption(monkeypatch):
+    corrupt_table(monkeypatch, i=6, j=-2)
+    result = check_oracle_agreement(max_n=8)
     assert not result.passed
     assert "n=6" in result.detail
 
@@ -78,12 +88,17 @@ def test_oracle_skipped_at_zero():
     assert result.skipped and result.passed
 
 
+def test_oracle_rejects_negative_max_n():
+    with pytest.raises(ValueError, match="max_n must be >= 0"):
+        check_oracle_agreement(-2)
+
+
 def test_individual_suites_pass():
     assert check_motzkin2_routes(30).passed
-    assert check_column_functional_equation(5, 30).passed
-    assert check_column_routes(6, 30).passed
+    assert check_column_functional_equation(30).passed
+    assert check_column_routes(30).passed
     assert check_convolved_fibonacci().passed
-    assert check_catalan_binomial(6, 30).passed
+    assert check_catalan_binomial(30).passed
 
 
 def test_motzkin2_routes_catch_corruption(monkeypatch):
@@ -108,7 +123,7 @@ def test_column_functional_equation_catches_corruption(monkeypatch):
         return bumped(series, 7) if (j, method) == (2, "functional_equation") else series
 
     monkeypatch.setattr(checks, "column_gf", corrupted)
-    result = check_column_functional_equation(4, 16)
+    result = check_column_functional_equation(16)
     assert result.status == "FAIL"
     assert "column 2" in result.detail and "x^7" in result.detail
     assert "functional_equation" in result.detail
@@ -122,7 +137,7 @@ def test_column_routes_catch_corruption(monkeypatch):
         return bumped(series, 5) if (j, method) == (3, "closed_form") else series
 
     monkeypatch.setattr(checks, "column_gf", corrupted)
-    result = check_column_routes(5, 16)
+    result = check_column_routes(16)
     assert result.status == "FAIL"
     assert "column 3" in result.detail and "x^5" in result.detail
     assert "closed_form=" in result.detail and "functional_equation=" in result.detail
@@ -144,7 +159,7 @@ def test_catalan_binomial_catches_corruption(monkeypatch):
     real = checks.binomial
     # binomial(2m + j, m) with m = 4, j = 2
     monkeypatch.setattr(checks, "binomial", lambda n, k: real(n, k) + ((n, k) == (10, 4)))
-    result = check_catalan_binomial(6, 16)
+    result = check_catalan_binomial(16)
     assert result.status == "FAIL"
     assert "j=2" in result.detail and "x^4" in result.detail
 

@@ -236,6 +236,17 @@ def test_closed_pipe_exits_0_quietly():
     assert err == b""
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_closed_stdout_leaks_no_descriptor(monkeypatch):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stream:
+        monkeypatch.setattr(sys, "stdout", stream)
+        before = len(os.listdir("/proc/self/fd"))
+        assert cli.main(["row", "3"]) == 0
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
 @pytest.mark.parametrize("argv, code, out", [
     (["entry", "35", "0", "--method", "all"], 0, b"119511225134954688\n" * 3),
     (["entry", "-1", "0"], 2, b""),
