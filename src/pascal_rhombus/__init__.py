@@ -13,9 +13,9 @@ arithmetic throughout, and ships the consistency checks that compare the
 routes coefficient by coefficient.
 """
 
-from .binomials import binomial
 from .checks import CheckResult, run_all
 from .closedforms import (
+    binomial,
     convolved_fib_gould,
     convolved_fib_product,
     convolved_fib_series,

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .binomials import binomial
 from .closedforms import (
+    binomial,
     convolved_fib_gould,
     convolved_fib_product,
     convolved_fib_series,
@@ -92,7 +92,7 @@ def check_method_agreement(max_i: int = 40, series_order: int = 30) -> CheckResu
     series_j_cap = 6
     table = build_table(max_i)
     columns = {
-        j: column_gf(j, series_order).integer_coefficients()
+        j: column_gf(j, series_order).coeffs
         for j in range(min(series_j_cap, max_i) + 1)
     }
 
@@ -120,7 +120,7 @@ def check_oracle_agreement(max_n: int = 12, oracle_cap: int = DEFAULT_CAP) -> Ch
     if max_n == 0:
         return CheckResult(name, True, "max_n is 0", skipped=True)
     table = build_table(max_n)
-    b = motzkin2_gf(max_n + 1).integer_coefficients()
+    b = motzkin2_gf(max_n + 1).coeffs
 
     def points():
         for n in range(max_n + 1):

@@ -225,7 +225,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         _say(f"error: {exc}", sys.stderr)
         return EXIT_USAGE
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, RecursionError) as exc:
         _say(f"error: internal: {exc}", sys.stderr)
         return EXIT_DISAGREEMENT
     _say(text, sys.stdout)

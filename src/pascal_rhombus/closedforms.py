@@ -10,6 +10,9 @@ into another):
   over weak compositions of products of Fibonacci numbers),
 * the entry formula combining binomials with convolved Fibonacci numbers.
 
+Their binomial factors come from one kernel, :func:`binomial`: `math.comb`
+with the out-of-range-zero convention, C(n, k) = 0 for k < 0 or k > n.
+
 Entries at negative j are evaluated at |j|; the recurrence is left-right
 symmetric and the equality of both halves is verified numerically
 elsewhere rather than assumed here.
@@ -17,12 +20,12 @@ elsewhere rather than assumed here.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from math import comb
 
-from .binomials import binomial
 from .series import TruncatedSeries
 
 __all__ = [
+    "binomial",
     "entry_triple_sum",
     "entry_convolved",
     "convolved_fib_series",
@@ -30,10 +33,19 @@ __all__ = [
     "convolved_fib_product",
 ]
 
-# binomial() itself is cache-free; this private memo only makes the closed
-# forms fast enough for the i <= 40 cross-method sweeps, and is invisible
-# in behavior
-_binom = lru_cache(maxsize=None)(binomial)
+
+def binomial(n: int, k: int) -> int:
+    """C(n, k), with C(n, k) = 0 whenever k < 0 or k > n.
+
+    The zero convention is load-bearing: the closed-form sums in this
+    library run their indices past the support of their terms and rely on
+    the out-of-range factors vanishing.  Negative n is a domain error,
+    not a convention.
+    """
+    if n < 0:
+        raise ValueError(f"binomial requires n >= 0, got n={n}")
+    # comb itself returns 0 for k > n but raises for k < 0
+    return comb(n, k) if k >= 0 else 0
 
 
 def entry_triple_sum(i: int, j: int) -> int:
@@ -49,10 +61,10 @@ def entry_triple_sum(i: int, j: int) -> int:
         return 0
     total = 0
     for m in range((i - j) // 2 + 1):
-        lead = _binom(2 * m + j, m)
+        lead = binomial(2 * m + j, m)
         rest = 0
         for l in range(i - j - 2 * m + 1):
-            rest += _binom(l + j + 2 * m, l) * _binom(l, i - j - 2 * m - l)
+            rest += binomial(l + j + 2 * m, l) * binomial(l, i - j - 2 * m - l)
         total += lead * rest
     return total
 
@@ -80,7 +92,7 @@ def convolved_fib_gould(j: int, r: int) -> int:
     if r < 1:
         raise ValueError(f"convolution depth r must be >= 1, got {r}")
     return sum(
-        _binom(j + r - l - 1, j - l) * _binom(j - l, l) for l in range(j // 2 + 1)
+        binomial(j + r - l - 1, j - l) * binomial(j - l, l) for l in range(j // 2 + 1)
     )
 
 
@@ -145,5 +157,5 @@ def entry_convolved(i: int, j: int) -> int:
     total = 0
     for m in range((i - j) // 2 + 1):
         prefix = _convolved_prefix(j + 2 * m + 1, i - j - 2 * m + 1)
-        total += _binom(2 * m + j, m) * prefix[i - j - 2 * m]
+        total += binomial(2 * m + j, m) * prefix[i - j - 2 * m]
     return total

@@ -1,5 +1,7 @@
 """The consistency-check suites, including proof that they catch faults."""
 
+from fractions import Fraction
+
 import pytest
 
 from pascal_rhombus import RhombusTable, TruncatedSeries, build_table, checks, run_all
@@ -27,10 +29,10 @@ def corrupt_table(monkeypatch, i=7, j=3):
     monkeypatch.setattr(checks, "build_table", corrupted)
 
 
-def bumped(series, k):
-    """The same series with coefficient k raised by one."""
+def bumped(series, k, by=1):
+    """The same series with coefficient k raised by ``by``."""
     coeffs = list(series.coeffs)
-    coeffs[k] += 1
+    coeffs[k] += by
     return TruncatedSeries(tuple(coeffs))
 
 
@@ -175,3 +177,38 @@ def test_suite_stops_at_first_disagreement(monkeypatch):
     monkeypatch.setattr(checks, "convolved_fib_gould", corrupted)
     assert not check_convolved_fibonacci().passed
     assert calls == [(0, 1), (1, 1), (2, 1), (3, 1)]
+
+
+@pytest.mark.parametrize("route, corrupt_if, k, expected", [
+    pytest.param(
+        "column_gf", lambda j, order, method="closed_form": (j, method) == (3, "closed_form"), 5,
+        {
+            "method-agreement (i <= 12)": "first disagreement at (i=5, j=-3): "
+            "recurrence=19, triple_sum=19, convolved=19, series=39/2",
+            "column-route-agreement (j <= 6)": "first disagreement at x^5 of column 3: "
+            "closed_form=39/2, functional_equation=19",
+        },
+        id="column_gf",
+    ),
+    pytest.param(
+        "motzkin2_gf", lambda order, method="closed_form": True, 4,
+        {
+            "oracle-agreement (n <= 6)": "first disagreement at closed paths of length n=4: "
+            "oracle=16, series=33/2",
+        },
+        id="motzkin2_gf",
+    ),
+])
+def test_non_integer_coefficient_is_a_fail_line(monkeypatch, route, corrupt_if, k, expected):
+    real = getattr(checks, route)
+
+    def corrupted(*args):
+        series = real(*args)
+        return bumped(series, k, Fraction(1, 2)) if corrupt_if(*args) else series
+
+    monkeypatch.setattr(checks, route, corrupted)
+    results = {r.name: r for r in run_all(max_i=12, max_oracle_n=6, series_order=14)}
+    assert len(results) == 8
+    for name, detail in expected.items():
+        assert results[name].status == "FAIL"
+        assert results[name].detail == detail

@@ -168,6 +168,17 @@ def test_internal_failure_exits_1(capsys, monkeypatch):
     assert err.strip() == "error: internal: invariant violated"
 
 
+def test_recursion_limit_is_an_internal_error(capsys):
+    # the oracle walker recurses once per step, past the default limit of 1000
+    code, out, err = run_cli(
+        capsys, "entry", "1200", "0", "--method", "oracle", "--oracle-cap", "1200"
+    )
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: internal:")
+
+
 def test_bad_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["entry", "3", "0", "--method", "bogus"])
