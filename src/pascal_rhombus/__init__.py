@@ -4,7 +4,7 @@ The rhombus is the integer array (OEIS A059317) generated by
 
     r[i][j] = r[i-1][j-1] + r[i-1][j] + r[i-1][j+1] + r[i-2][j]
 
-from r[0][0] = 1 and row 1 = (1, 1, 1).  Its entries equal counts of
+from the single seed r[0][0] = 1.  Its entries equal counts of
 lattice paths over the steps U = (1,1), D = (1,-1), H = (1,0), H2 = (2,0)
 classified by final height, and admit binomial and convolved-Fibonacci
 closed forms as well as explicit column generating functions.  This
@@ -23,7 +23,7 @@ from .closedforms import (
     entry_triple_sum,
 )
 from .paths import DEFAULT_CAP, count_by_height, count_motzkin2
-from .rhombus import RhombusTable, build_table
+from .rhombus import RhombusTable, build_table, iter_rows
 from .series import (
     TruncatedSeries,
     catalan_gf,
@@ -43,6 +43,7 @@ __all__ = [
     "column_gf",
     "RhombusTable",
     "build_table",
+    "iter_rows",
     "entry_triple_sum",
     "entry_convolved",
     "convolved_fib_series",

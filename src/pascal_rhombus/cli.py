@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: ``entry`` (one value by any method, or all of them), ``row``
-and ``column`` (sequences from the recurrence table), ``series`` (raw
+and ``column`` (sequences streamed from the recurrence), ``series`` (raw
 coefficients of the named generating functions F, C, B, L<j>) and ``check``
 (the one-shot cross-method verification report).
 
@@ -23,7 +23,7 @@ from typing import Callable, Sequence, TextIO
 from .checks import first_disagreement, run_all
 from .closedforms import entry_convolved, entry_triple_sum
 from .paths import DEFAULT_CAP, count_by_height
-from .rhombus import build_table
+from .rhombus import iter_rows
 from .series import catalan_gf, column_gf, fibonacci_gf, motzkin2_gf
 
 FORMATS = ("plain", "json", "csv")
@@ -78,10 +78,16 @@ def _oracle_route(i: int, j: int, args: argparse.Namespace) -> int:
     return count_by_height(i, cap=args.oracle_cap).get(j, 0)
 
 
+def _last_row(i: int) -> list[int]:
+    for row in iter_rows(i):
+        pass
+    return row
+
+
 # the lambdas look the route functions up by name at call time, so a
 # rebound module attribute (a test's fake, a tracer's wrapper) is honoured
 ROUTES: dict[str, Callable[[int, int, argparse.Namespace], int]] = {
-    "recurrence": lambda i, j, args: build_table(i).entry(i, j),
+    "recurrence": lambda i, j, args: _last_row(i)[j + i] if abs(j) <= i else 0,
     "triple_sum": lambda i, j, args: entry_triple_sum(i, j),
     "convolved": lambda i, j, args: entry_convolved(i, j),
     "series": _series_route,
@@ -118,14 +124,15 @@ def _cmd_entry(args: argparse.Namespace) -> tuple[int, str]:
 def _cmd_row(args: argparse.Namespace) -> tuple[int, str]:
     if args.i < 0:
         raise UsageError(f"row index must be >= 0, got {args.i}")
-    return EXIT_OK, _emit_sequence(build_table(args.i).row(args.i), args.format)
+    return EXIT_OK, _emit_sequence(_last_row(args.i), args.format)
 
 
 def _cmd_column(args: argparse.Namespace) -> tuple[int, str]:
     if args.terms < 1:
         raise UsageError(f"--terms must be >= 1, got {args.terms}")
-    depth = abs(args.j) + args.terms - 1
-    return EXIT_OK, _emit_sequence(build_table(depth).column(args.j), args.format)
+    j = args.j
+    rows = enumerate(iter_rows(abs(j) + args.terms - 1))
+    return EXIT_OK, _emit_sequence([row[j + i] for i, row in rows if i >= abs(j)], args.format)
 
 
 def _cmd_series(args: argparse.Namespace) -> tuple[int, str]:

@@ -51,8 +51,9 @@ def binomial(n: int, k: int) -> int:
 def entry_triple_sum(i: int, j: int) -> int:
     """Entry (i, j) as a double sum of three binomial factors.
 
-    The outer index stops at floor((i - |j|)/2); beyond that every term
-    vanishes (the tests check this against the loose bound m <= i).
+    The outer index stops at floor((i - |j|)/2) and the inner one starts at
+    ceil(k/2), k = i - |j| - 2m: the terms left out are zero by the convention
+    of binomial, which is why it, not a bare comb, gives every factor here.
     """
     if i < 0:
         raise ValueError(f"row index must be >= 0, got {i}")
@@ -61,11 +62,11 @@ def entry_triple_sum(i: int, j: int) -> int:
         return 0
     total = 0
     for m in range((i - j) // 2 + 1):
-        lead = binomial(2 * m + j, m)
+        k = i - j - 2 * m
         rest = 0
-        for l in range(i - j - 2 * m + 1):
-            rest += binomial(l + j + 2 * m, l) * binomial(l, i - j - 2 * m - l)
-        total += lead * rest
+        for l in range((k + 1) // 2, k + 1):
+            rest += binomial(l + j + 2 * m, l) * binomial(l, k - l)
+        total += binomial(2 * m + j, m) * rest
     return total
 
 

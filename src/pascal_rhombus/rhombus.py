@@ -5,17 +5,18 @@ the entry directly above in the row before that:
 
     r[i][j] = r[i-1][j-1] + r[i-1][j] + r[i-1][j+1] + r[i-2][j]
 
-with r[0][0] = 1 and row 1 equal to 1, 1, 1 (everything outside the
-triangle |j| <= i counts as 0).  This is OEIS A059317 read by rows.  Both
-halves of every row are computed independently; the left-right symmetry is
-a theorem the tests verify, never a storage shortcut.
+with r[0][0] = 1 the only seed (everything off the triangle |j| <= i, row -1
+included, is 0).  This is OEIS A059317 read by rows.  :func:`iter_rows`
+streams the rows holding two at a time; :func:`build_table` keeps them all.
+Both halves of every row are computed independently; the left-right
+symmetry is a theorem the tests verify, never a storage shortcut.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
-__all__ = ["RhombusTable", "build_table"]
+__all__ = ["RhombusTable", "build_table", "iter_rows"]
 
 
 class RhombusTable:
@@ -27,16 +28,13 @@ class RhombusTable:
 
     __slots__ = ("_rows",)
 
-    def __init__(self, rows: Sequence[Sequence[int]]):
-        if not rows:
+    def __init__(self, rows: Iterable[Sequence[int]]):
+        self._rows = [list(row) for row in rows]
+        if not self._rows:
             raise ValueError("a table needs at least row 0")
-        store = []
-        for i, row in enumerate(rows):
-            row = list(row)
+        for i, row in enumerate(self._rows):
             if len(row) != 2 * i + 1:
                 raise ValueError(f"row {i} must have {2 * i + 1} entries, got {len(row)}")
-            store.append(row)
-        self._rows = store
 
     @property
     def depth(self) -> int:
@@ -50,30 +48,22 @@ class RhombusTable:
             return 0
         return self._rows[i][j + i]
 
-    def row(self, i: int) -> list[int]:
-        """Entries of row i, left to right (j = -i .. i)."""
-        if not 0 <= i <= self.depth:
-            raise IndexError(f"row {i} not built (table depth {self.depth})")
-        return list(self._rows[i])
 
-    def column(self, j: int) -> list[int]:
-        """Entries r[|j|][j], r[|j|+1][j], ..., r[depth][j] down column j."""
-        if abs(j) > self.depth:
-            raise IndexError(f"column {j} starts below table depth {self.depth}")
-        return [self._rows[i][j + i] for i in range(abs(j), self.depth + 1)]
+def iter_rows(depth: int) -> Iterator[list[int]]:
+    """Rows 0..depth, left to right, each a new list that the caller owns."""
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    older, row = [], [1]  # rows i-2 and i-1: row -1 is empty (all 0), row 0 the seed
+    for i in range(1, depth + 1):
+        yield list(row)  # a copy, because the next row is computed from ``row``
+        # pad the two source rows so j-1, j, j+1 and the row-above lookups
+        # become plain list indexing with zeros off the triangle
+        p = [0, 0] + row + [0, 0]          # p[j + i + 1] = r[i-1][j]
+        q = [0, 0, 0] + older + [0, 0, 0]  # q[j + i + 1] = r[i-2][j]
+        older, row = row, [p[t] + p[t + 1] + p[t + 2] + q[t + 1] for t in range(2 * i + 1)]
+    yield row
 
 
 def build_table(depth: int) -> RhombusTable:
-    """Compute rows 0..depth by the recurrence (rows 0 and 1 are seeds)."""
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    rows: list[list[int]] = [[1]]
-    if depth >= 1:
-        rows.append([1, 1, 1])
-    for i in range(2, depth + 1):
-        # pad the two source rows so j-1, j, j+1 and the row-above lookups
-        # become plain list indexing with zeros off the triangle
-        p = [0, 0] + rows[i - 1] + [0, 0]          # p[j + i + 1] = r[i-1][j]
-        q = [0, 0, 0] + rows[i - 2] + [0, 0, 0]    # q[j + i + 1] = r[i-2][j]
-        rows.append([p[t] + p[t + 1] + p[t + 2] + q[t + 1] for t in range(2 * i + 1)])
-    return RhombusTable(rows)
+    """Rows 0..depth of :func:`iter_rows`, kept for random access."""
+    return RhombusTable(iter_rows(depth))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from pascal_rhombus import RhombusTable, TruncatedSeries, build_table, checks, run_all
+from pascal_rhombus import RhombusTable, TruncatedSeries, checks, iter_rows, run_all
 from pascal_rhombus.checks import (
     check_catalan_binomial,
     check_column_functional_equation,
@@ -22,7 +22,7 @@ def corrupt_table(monkeypatch, i=7, j=3):
     """Make every table the suites build carry r[i][j] raised by one."""
 
     def corrupted(depth):
-        rows = [build_table(depth).row(k) for k in range(depth + 1)]
+        rows = list(iter_rows(depth))
         rows[i][j + i] += 1
         return RhombusTable(rows)
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -91,6 +92,24 @@ def test_column_negative_index_mirrors(capsys):
     _, positive, _ = run_cli(capsys, "column", "2", "--terms", "6")
     _, negative, _ = run_cli(capsys, "column", "-2", "--terms", "6")
     assert positive == negative
+
+
+@pytest.mark.parametrize("argv", [
+    ["row", "400"], ["column", "5", "--terms", "400"], ["entry", "400", "3"],
+], ids=["row", "column", "entry"])
+def test_recurrence_commands_hold_two_rows(monkeypatch, argv):
+    # traced peak of the whole command: a kept depth-400 table reaches about
+    # 14 MiB, two streamed rows and the output stay below 0.6 MiB (a child's
+    # ru_maxrss would not do: after fork it can report the parent's size)
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def test_formats_decode_identically(capsys):

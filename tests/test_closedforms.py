@@ -14,7 +14,7 @@ from pascal_rhombus import (
 
 
 def entry_triple_sum_reference(i: int, j: int) -> int:
-    """The triple sum with the printed loose bound m <= i, for 0 <= |j| <= i."""
+    """The triple sum with the printed loose bound m <= i and all l >= 0, for |j| <= i."""
     j = abs(j)
     return sum(
         binomial(2 * m + j, m) * binomial(l + j + 2 * m, l) * binomial(l, i - j - 2 * m - l)
@@ -47,7 +47,7 @@ def test_triple_sum_rejects_negative_row():
 
 
 def test_loose_bound_variant_agrees():
-    # the extra terms of the printed bound m <= i all vanish
+    # the extra terms of the printed bound m <= i and of l < ceil(k/2) all vanish
     for i in range(16):
         for j in range(-i, i + 1):
             assert entry_triple_sum_reference(i, j) == entry_triple_sum(i, j)

@@ -1,8 +1,8 @@
-"""The recurrence table: golden rows, accessors, symmetry, self-consistency."""
+"""The recurrence: streamed rows, the table, symmetry, self-consistency."""
 
 import pytest
 
-from pascal_rhombus import RhombusTable, build_table, column_gf
+from pascal_rhombus import RhombusTable, build_table, column_gf, iter_rows
 
 GOLDEN_ROWS = [
     [1],
@@ -14,21 +14,30 @@ GOLDEN_ROWS = [
 ]
 
 
+def column(table, j):
+    """Entries r[|j|][j], r[|j|+1][j], ..., r[depth][j] down column j."""
+    return [table.entry(i, j) for i in range(abs(j), table.depth + 1)]
+
+
 def test_golden_rows():
+    assert list(iter_rows(5)) == GOLDEN_ROWS
     table = build_table(5)
     for i, expected in enumerate(GOLDEN_ROWS):
-        assert table.row(i) == expected
+        assert [table.entry(i, j) for j in range(-i, i + 1)] == expected
 
 
 def test_depth_zero():
+    assert list(iter_rows(0)) == [[1]]
     table = build_table(0)
     assert table.depth == 0
-    assert table.row(0) == [1]
+    assert table.entry(0, 0) == 1
 
 
 def test_negative_depth_rejected():
     with pytest.raises(ValueError):
         build_table(-1)
+    with pytest.raises(ValueError):
+        list(iter_rows(-1))
 
 
 def test_entry_examples():
@@ -49,20 +58,23 @@ def test_entry_row_out_of_range():
 
 def test_column_examples():
     table = build_table(5)
-    assert table.column(0) == [1, 1, 4, 9, 29, 82]
-    assert table.column(2) == [1, 3, 13, 42]
-    assert table.column(-2) == table.column(2)
+    assert column(table, 0) == [1, 1, 4, 9, 29, 82]
+    assert column(table, 2) == [1, 3, 13, 42]
+    assert column(table, -2) == column(table, 2)
 
 
-def test_column_out_of_range():
-    with pytest.raises(IndexError):
-        build_table(3).column(4)
+def test_iter_rows_yields_rows_the_caller_owns():
+    # wreck every row as soon as it is yielded: the rows after it must not change
+    for i, row in enumerate(iter_rows(5)):
+        assert row == GOLDEN_ROWS[i]
+        row[:] = [99] * (len(row) + 1)
 
 
-def test_row_returns_a_copy():
-    table = build_table(2)
-    table.row(2).append(99)
-    assert table.row(2) == [1, 2, 4, 2, 1]
+def test_build_table_keeps_the_streamed_rows():
+    table = build_table(50)
+    assert table.depth == 50
+    for i, row in enumerate(iter_rows(50)):
+        assert [table.entry(i, j) for j in range(-i, i + 1)] == row
 
 
 def test_constructor_validates_shape():
@@ -98,5 +110,5 @@ def test_columns_match_generating_functions():
     table = build_table(29)
     for j in range(7):
         coeffs = column_gf(j, 30).integer_coefficients()
-        assert table.column(j) == coeffs[j:]
-        assert table.column(-j) == coeffs[j:]
+        assert column(table, j) == coeffs[j:]
+        assert column(table, -j) == coeffs[j:]
