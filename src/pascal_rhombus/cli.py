@@ -32,6 +32,13 @@ EXIT_OK = 0
 EXIT_DISAGREEMENT = 1
 EXIT_USAGE = 2
 
+# the largest series --order a command accepts unless --max-order is raised:
+# at these orders one request takes about 5 s (series L<j>, entry --method
+# series) or 9 s (check, which builds about twenty column series) on CPython
+# 3.11, x86-64, and the cost grows faster than the cube of the order
+MAX_ORDER = 400
+CHECK_MAX_ORDER = 150
+
 
 class UsageError(Exception):
     pass
@@ -59,6 +66,16 @@ def _emit_sequence(values: list[int], fmt: str) -> str:
     if fmt == "csv":
         return "\n".join(str(v) for v in values)
     return ",".join(str(v) for v in values)
+
+
+def _require_order(args: argparse.Namespace) -> None:
+    if args.order < 1:
+        raise UsageError(f"--order must be >= 1, got {args.order}")
+    if args.order > args.max_order:
+        raise UsageError(
+            f"--order {args.order} is above --max-order {args.max_order}; "
+            "raise the cap knowingly, the cost grows faster than the cube of the order"
+        )
 
 
 def _series_route(i: int, j: int, args: argparse.Namespace) -> int:
@@ -99,8 +116,7 @@ def _cmd_entry(args: argparse.Namespace) -> tuple[int, str]:
     i, j = args.i, args.j
     if i < 0:
         raise UsageError(f"row index must be >= 0, got {i}")
-    if args.order < 1:
-        raise UsageError(f"--order must be >= 1, got {args.order}")
+    _require_order(args)
     if args.oracle_cap < 0:
         raise UsageError(f"--oracle-cap must be >= 0, got {args.oracle_cap}")
     if args.method != "all":
@@ -136,8 +152,7 @@ def _cmd_column(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_series(args: argparse.Namespace) -> tuple[int, str]:
-    if args.order < 1:
-        raise UsageError(f"--order must be >= 1, got {args.order}")
+    _require_order(args)
     name = args.name
     if name == "F":
         s = fibonacci_gf(args.order)
@@ -154,8 +169,9 @@ def _cmd_series(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[int, str]:
-    if args.max_i < 1 or args.order < 1:
-        raise UsageError("--max-i and --order must be positive")
+    if args.max_i < 1:
+        raise UsageError(f"--max-i must be >= 1, got {args.max_i}")
+    _require_order(args)
     if args.max_oracle_n < 0:
         raise UsageError(f"--max-oracle-n must be >= 0, got {args.max_oracle_n}")
     if args.oracle_cap < args.max_oracle_n:
@@ -183,12 +199,17 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=FORMATS, default="plain")
 
+    def add_max_order(p: argparse.ArgumentParser, default: int) -> None:
+        p.add_argument("--max-order", type=int, default=default,
+                       help="refuse a larger --order; the cost grows steeply with it")
+
     p_entry = sub.add_parser("entry", help="one entry r[i][j]")
     p_entry.add_argument("i", type=int)
     p_entry.add_argument("j", type=int)
     p_entry.add_argument("--method", choices=(*ROUTES, "all"), default="recurrence")
     p_entry.add_argument("--order", type=int, default=30,
                          help="series truncation order for the series method")
+    add_max_order(p_entry, MAX_ORDER)
     p_entry.add_argument("--oracle-cap", type=int, default=DEFAULT_CAP,
                          help="refuse exhaustive enumeration beyond this length")
     add_format(p_entry)
@@ -208,6 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_series = sub.add_parser("series", help="coefficients of F, C, B or L<j>")
     p_series.add_argument("name")
     p_series.add_argument("--order", type=int, default=30)
+    add_max_order(p_series, MAX_ORDER)
     add_format(p_series)
     p_series.set_defaults(func=_cmd_series)
 
@@ -215,6 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--max-i", type=int, default=40)
     p_check.add_argument("--max-oracle-n", type=int, default=12)
     p_check.add_argument("--order", type=int, default=30)
+    add_max_order(p_check, CHECK_MAX_ORDER)
     p_check.add_argument("--oracle-cap", type=int, default=DEFAULT_CAP)
     p_check.set_defaults(func=_cmd_check)
 

@@ -174,6 +174,16 @@ def test_criterion_10_column_integrality():
     report(10, "all column coefficients are integers despite rational intermediates", watch)
 
 
+def test_closed_form_column_at_order_200_is_fast():
+    # every operand on the closed-form path is integral; over Fraction
+    # products this takes about 20 s, over int products under 1 s
+    with Stopwatch() as watch:
+        column = column_gf(1, 200, "closed_form")
+    assert column.coeffs[1:9] == tuple(map(Fraction, GOLDEN_COLUMNS[1]))
+    assert watch.elapsed < 5.0
+    report("gate", "closed-form column 1 to order 200 in under 5 s", watch)
+
+
 def test_check_command_defaults_all_pass(capsys):
     # the one-shot CLI verification run with stock bounds
     with Stopwatch() as watch:

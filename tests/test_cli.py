@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -174,6 +175,35 @@ def test_out_of_range_bounds_are_usage_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: --")
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (["series", "L1"], cli.MAX_ORDER),
+    (["entry", "3", "0", "--method", "series"], cli.MAX_ORDER),
+    (["entry", "3", "0", "--method", "all"], cli.MAX_ORDER),
+    (["check"], cli.CHECK_MAX_ORDER),
+], ids=["series", "entry-series", "entry-all", "check"])
+def test_order_above_the_cap_is_refused_at_once(capsys, monkeypatch, argv, cap):
+    def never(*args, **kwargs):
+        raise AssertionError("built a series past the cap")
+
+    monkeypatch.setattr(cli, "column_gf", never)
+    monkeypatch.setattr(cli, "run_all", never)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--order", str(cap + 1))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: --order {cap + 1} is above --max-order {cap};")
+
+
+def test_max_order_moves_the_cap(capsys):
+    assert run_cli(capsys, "series", "F", "--order", "8", "--max-order", "8")[:2] == (
+        0, "0,1,1,2,3,5,8,13\n"
+    )
+    code, _, err = run_cli(capsys, "series", "F", "--order", "9", "--max-order", "8")
+    assert code == 2
+    assert "--max-order 8" in err
 
 
 def test_internal_failure_exits_1(capsys, monkeypatch):

@@ -35,11 +35,40 @@ def rows_and_indices(draw):
 
 
 @st.composite
-def series(draw, order, constant=None):
-    coeffs = draw(st.lists(small_rationals, min_size=order, max_size=order))
+def series(draw, order, constant=None, values=small_rationals):
+    coeffs = draw(st.lists(values, min_size=order, max_size=order))
     if constant is not None:
         coeffs[0] = Fraction(constant)
     return TruncatedSeries.from_coeffs(coeffs)
+
+
+def same_order_pair(values):
+    return st.integers(1, 12).flatmap(lambda order: st.tuples(
+        series(order, values=values), series(order, values=values)
+    ))
+
+
+@st.composite
+def inner_of_valuation(draw, order, valuation):
+    # zero below x^valuation, nonzero at it if order reaches that far
+    rest = max(order - valuation, 0)
+    coeffs = [0] * valuation + draw(st.lists(small_rationals, min_size=rest, max_size=rest))
+    if valuation < order and not coeffs[valuation]:
+        coeffs[valuation] = Fraction(1)
+    return TruncatedSeries.from_coeffs(coeffs, order)
+
+
+def plain_convolution(a, b):
+    n = len(a)
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)) for k in range(n)]
+
+
+def untrimmed_horner(outer, inner):
+    one = TruncatedSeries.one(outer.order)
+    acc = outer.coeffs[-1] * one
+    for c in reversed(outer.coeffs[:-1]):
+        acc = acc * inner + c * one
+    return acc
 
 
 @settings(exact, max_examples=20)
@@ -76,3 +105,27 @@ def test_compose_is_associative_with_x_plus_x2(pair):
     s, t = pair
     p = TruncatedSeries.from_coeffs([0, 1, 1], s.order)
     assert s.compose(t).compose(p) == s.compose(t.compose(p))
+
+
+@exact
+@given(same_order_pair(st.integers(-2, 2) | st.integers(-10**30, 10**30))
+       | same_order_pair(small_rationals))
+def test_mul_is_the_plain_convolution(pair):
+    # integral operands take the int path of __mul__, any other the Fraction one
+    a, b = pair
+    product = a * b
+    assert list(product.coeffs) == plain_convolution(a.coeffs, b.coeffs)
+    assert all(type(c) is Fraction for c in product.coeffs)
+
+
+@exact
+@given(st.tuples(st.integers(1, 10), st.sampled_from([1, 2, 3, None])).flatmap(
+    lambda spec: st.tuples(
+        series(spec[0]),
+        inner_of_valuation(spec[0], spec[0] if spec[1] is None else spec[1]),
+    )
+))
+def test_trimmed_compose_is_full_horner(pair):
+    # valuations 1, 2 and 3, and the all-zero inner (valuation = order)
+    outer, inner = pair
+    assert outer.compose(inner) == untrimmed_horner(outer, inner)

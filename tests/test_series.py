@@ -117,6 +117,25 @@ def test_pow():
         s ** -1
 
 
+@pytest.mark.parametrize("exponent", [1, 2, 3, 6, 8, 13])
+def test_pow_makes_no_product_past_the_last_bit(monkeypatch, exponent):
+    # one squaring per bit below the top one, one product per set bit
+    products = []
+    plain_mul = TruncatedSeries.__mul__
+
+    def counting_mul(self, other):
+        products.append(other)
+        return plain_mul(self, other)
+
+    s = series([1, 2, 1], 5)
+    expected = s
+    for _ in range(exponent - 1):
+        expected = plain_mul(expected, s)
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
+    assert s ** exponent == expected
+    assert len(products) == exponent.bit_length() - 1 + bin(exponent).count("1")
+
+
 # -- reciprocal --------------------------------------------------------------
 
 
