@@ -68,9 +68,9 @@ def _emit_sequence(values: list[int], fmt: str) -> str:
     return ",".join(str(v) for v in values)
 
 
-def _require_order(args: argparse.Namespace) -> None:
-    if args.order < 1:
-        raise UsageError(f"--order must be >= 1, got {args.order}")
+def _require_max_order(args: argparse.Namespace) -> None:
+    # only a column series L<j> is costly enough to need the cap; F, C and B
+    # are quadratic in the order at most
     if args.order > args.max_order:
         raise UsageError(
             f"--order {args.order} is above --max-order {args.max_order}; "
@@ -116,7 +116,10 @@ def _cmd_entry(args: argparse.Namespace) -> tuple[int, str]:
     i, j = args.i, args.j
     if i < 0:
         raise UsageError(f"row index must be >= 0, got {i}")
-    _require_order(args)
+    if args.order < 1:
+        raise UsageError(f"--order must be >= 1, got {args.order}")
+    if args.method in ("series", "all"):
+        _require_max_order(args)
     if args.oracle_cap < 0:
         raise UsageError(f"--oracle-cap must be >= 0, got {args.oracle_cap}")
     if args.method != "all":
@@ -152,7 +155,8 @@ def _cmd_column(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_series(args: argparse.Namespace) -> tuple[int, str]:
-    _require_order(args)
+    if args.order < 1:
+        raise UsageError(f"--order must be >= 1, got {args.order}")
     name = args.name
     if name == "F":
         s = fibonacci_gf(args.order)
@@ -164,6 +168,7 @@ def _cmd_series(args: argparse.Namespace) -> tuple[int, str]:
         match = re.fullmatch(r"L(-?\d+)", name)
         if not match:
             raise UsageError(f"unknown series {name!r}; expected F, C, B or L<j>")
+        _require_max_order(args)
         s = column_gf(abs(int(match.group(1))), args.order)
     return EXIT_OK, _emit_sequence(s.integer_coefficients(), args.format)
 
@@ -171,7 +176,9 @@ def _cmd_series(args: argparse.Namespace) -> tuple[int, str]:
 def _cmd_check(args: argparse.Namespace) -> tuple[int, str]:
     if args.max_i < 1:
         raise UsageError(f"--max-i must be >= 1, got {args.max_i}")
-    _require_order(args)
+    if args.order < 1:
+        raise UsageError(f"--order must be >= 1, got {args.order}")
+    _require_max_order(args)
     if args.max_oracle_n < 0:
         raise UsageError(f"--max-oracle-n must be >= 0, got {args.max_oracle_n}")
     if args.oracle_cap < args.max_oracle_n:
@@ -201,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_max_order(p: argparse.ArgumentParser, default: int) -> None:
         p.add_argument("--max-order", type=int, default=default,
-                       help="refuse a larger --order; the cost grows steeply with it")
+                       help="refuse a larger --order for a column series; "
+                            "its cost grows steeply with the order")
 
     p_entry = sub.add_parser("entry", help="one entry r[i][j]")
     p_entry.add_argument("i", type=int)

@@ -11,15 +11,17 @@ an exact comparison.  Two disciplines are enforced throughout:
   result by k instead of padding it, because the top k coefficients of the
   quotient are unknowable from a truncation.
 
-Products are schoolbook, and quadratic in the order.  When every
-coefficient of both operands is an integer, as on the whole closed-form
-column path (F, C, F^2, C(F^2)), the product runs on the int numerators and
-wraps the result in Fractions once, which is an order of magnitude faster.
+Products are schoolbook, and quadratic in the order.  Each factor is
+brought over the lcm of its denominators, every coefficient of the product
+is one dot product of plain ints, and the result is divided once; on the
+closed-form column path (F, C, F^2, C(F^2)) every coefficient is an integer,
+so no gcd is taken at all, which is an order of magnitude faster than
+multiplying Fractions term by term.
 :meth:`TruncatedSeries.compose` is Horner evaluation, so it makes one
 product per outer coefficient; it skips the outer terms whose power of the
 inner series vanishes mod x^order.  A closed-form column of order N thus
-costs about N/2 products, and a few seconds at N = 400; the CLI refuses an
-``--order`` above its ``--max-order``.
+costs about N/2 products, and a few seconds at N = 400; the CLI refuses a
+column ``--order`` above its ``--max-order``.
 
 On top of the ring operations (add, multiply, reciprocal, square root,
 composition) this module builds the named series the rest of the library
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Iterable, Union
 
@@ -50,6 +53,13 @@ Scalar = Union[int, Fraction]
 
 MOTZKIN2_METHODS = ("closed_form", "compositional", "functional_equation")
 COLUMN_METHODS = ("closed_form", "functional_equation")
+
+
+def _over_common_denominator(coeffs: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Integers n_k and one d with c_k = n_k / d, d the lcm of the denominators."""
+    coeffs = list(coeffs)
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 @dataclass(frozen=True)
@@ -136,27 +146,18 @@ class TruncatedSeries:
             return TruncatedSeries(tuple(a * f for a in self.coeffs))
         self._require_same_order(other, "mul")
         n = self.order
-        a, b = self.coeffs, other.coeffs
-        if all(c.denominator == 1 for c in a) and all(c.denominator == 1 for c in b):
-            # the routes multiply integral series only: int products skip
-            # the gcd that normalises each Fraction product, and one dot
-            # product per coefficient runs its loop in C; a's trailing zeros
-            # are dropped, so a left factor such as x^k costs O(order)
-            last = max((i for i, c in enumerate(a) if c), default=-1)
-            a = [c.numerator for c in a[:last + 1]]
-            b_reversed = [c.numerator for c in reversed(b)]
-            return TruncatedSeries(tuple(
-                Fraction(sum(map(mul, a[:k + 1], b_reversed[n - 1 - k:]))) for k in range(n)
-            ))
-        out = [Fraction(0)] * n
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j in range(n - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-        return TruncatedSeries(tuple(out))
+        # one exact path for every operand: each factor is scaled by the lcm
+        # of its denominators (1 for the integral series the routes
+        # multiply), each coefficient is one int dot product, run in C, and
+        # is divided once; a's trailing zeros are dropped, so a left factor
+        # such as x^k costs O(order)
+        last = max((i for i, c in enumerate(self.coeffs) if c), default=-1)
+        a, da = _over_common_denominator(self.coeffs[:last + 1])
+        b, db = _over_common_denominator(reversed(other.coeffs))
+        d = da * db
+        return TruncatedSeries(tuple(
+            Fraction(sum(map(mul, a[:k + 1], b[n - 1 - k:])), d) for k in range(n)
+        ))
 
     __rmul__ = __mul__
 

@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 import tracemalloc
 
 import pytest
@@ -177,31 +176,46 @@ def test_out_of_range_bounds_are_usage_errors(capsys, argv):
     assert err.startswith("error: --")
 
 
-@pytest.mark.parametrize("argv, cap", [
-    (["series", "L1"], cli.MAX_ORDER),
-    (["entry", "3", "0", "--method", "series"], cli.MAX_ORDER),
-    (["entry", "3", "0", "--method", "all"], cli.MAX_ORDER),
-    (["check"], cli.CHECK_MAX_ORDER),
-], ids=["series", "entry-series", "entry-all", "check"])
-def test_order_above_the_cap_is_refused_at_once(capsys, monkeypatch, argv, cap):
+@pytest.mark.parametrize("argv, order, cap", [
+    (["series", "L1"], cli.MAX_ORDER + 1, cli.MAX_ORDER),
+    (["series", "L1"], 10**6, cli.MAX_ORDER),
+    (["entry", "3", "0", "--method", "series"], cli.MAX_ORDER + 1, cli.MAX_ORDER),
+    (["entry", "3", "0", "--method", "all"], cli.MAX_ORDER + 1, cli.MAX_ORDER),
+    (["check"], cli.CHECK_MAX_ORDER + 1, cli.CHECK_MAX_ORDER),
+], ids=["series", "series-1e6", "entry-series", "entry-all", "check"])
+def test_order_above_the_cap_is_refused_at_once(capsys, monkeypatch, argv, order, cap):
     def never(*args, **kwargs):
         raise AssertionError("built a series past the cap")
 
     monkeypatch.setattr(cli, "column_gf", never)
     monkeypatch.setattr(cli, "run_all", never)
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, *argv, "--order", str(cap + 1))
-    assert time.perf_counter() - start < 0.5
+    code, out, err = run_cli(capsys, *argv, "--order", str(order))
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: --order {cap + 1} is above --max-order {cap};")
+    assert err.startswith(f"error: --order {order} is above --max-order {cap};")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["series", "F"], "0,1,1,2,3"),
+    (["series", "C"], "1,1,2,5,14"),
+    (["series", "B"], "1,1,3,6,16"),
+    (["entry", "5", "0"], "82"),
+    (["entry", "5", "0", "--method", "triple_sum"], "82"),
+    (["entry", "5", "0", "--method", "oracle"], "82"),
+], ids=["F", "C", "B", "entry-recurrence", "entry-triple_sum", "entry-oracle"])
+def test_the_cap_leaves_other_series_and_routes_alone(capsys, argv, expected):
+    # only a column series L<j> is capped; F, C and B cost at most quadratic
+    # time, and the other entry routes never read --order
+    code, out, _ = run_cli(capsys, *argv, "--order", str(cli.MAX_ORDER + 1))
+    assert code == 0
+    assert out.startswith(expected)
 
 
 def test_max_order_moves_the_cap(capsys):
-    assert run_cli(capsys, "series", "F", "--order", "8", "--max-order", "8")[:2] == (
-        0, "0,1,1,2,3,5,8,13\n"
+    assert run_cli(capsys, "series", "L1", "--order", "8", "--max-order", "8")[:2] == (
+        0, "0,1,2,8,22,72,218,691\n"
     )
-    code, _, err = run_cli(capsys, "series", "F", "--order", "9", "--max-order", "8")
+    code, _, err = run_cli(capsys, "series", "L1", "--order", "9", "--max-order", "8")
     assert code == 2
     assert "--max-order 8" in err
 
