@@ -167,11 +167,11 @@ def check_column_routes(order: int = 30) -> CheckResult:
         detail = first_disagreement(_coefficients(f" of column {j}", routes))
         if detail:
             return CheckResult(name, False, detail)
-        closed = routes["closed_form"]
-        for k, c in enumerate(closed.coeffs):
-            if c.denominator != 1:
-                return CheckResult(name, False, f"column {j} has non-integer coefficient at x^{k}")
-        if any(c < 0 for c in closed.coeffs):
+        try:
+            closed = routes["closed_form"].integer_coefficients()
+        except ValueError as exc:
+            return CheckResult(name, False, f"column {j}: {exc}")
+        if any(c < 0 for c in closed):
             return CheckResult(name, False, f"column {j} has a negative coefficient")
     return CheckResult(name, True)
 

@@ -34,7 +34,7 @@ EXIT_USAGE = 2
 
 # the largest series --order a command accepts unless --max-order is raised:
 # at these orders one request takes about 5 s (series L<j>, entry --method
-# series) or 9 s (check, which builds about twenty column series) on CPython
+# series) or 7 s (check, which builds about twenty column series) on CPython
 # 3.11, x86-64, and the cost grows faster than the cube of the order
 MAX_ORDER = 400
 CHECK_MAX_ORDER = 150

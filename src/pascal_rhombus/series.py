@@ -11,12 +11,12 @@ an exact comparison.  Two disciplines are enforced throughout:
   result by k instead of padding it, because the top k coefficients of the
   quotient are unknowable from a truncation.
 
-Products are schoolbook, and quadratic in the order.  Each factor is
-brought over the lcm of its denominators, every coefficient of the product
-is one dot product of plain ints, and the result is divided once; on the
-closed-form column path (F, C, F^2, C(F^2)) every coefficient is an integer,
-so no gcd is taken at all, which is an order of magnitude faster than
-multiplying Fractions term by term.
+Every coefficient loop runs on ints.  Products, reciprocals and square
+roots, all quadratic in the order, bring each operand over the lcm of its
+denominators, compute each new numerator as one dot product of plain ints
+and build each output Fraction once; on the routes every operand is
+integral with constant term 1, which is an order of magnitude faster than
+adding up Fractions term by term.
 :meth:`TruncatedSeries.compose` is Horner evaluation, so it makes one
 product per outer coefficient; it skips the outer terms whose power of the
 inner series vanishes mod x^order.  A closed-form column of order N thus
@@ -53,6 +53,11 @@ Scalar = Union[int, Fraction]
 
 MOTZKIN2_METHODS = ("closed_form", "compositional", "functional_equation")
 COLUMN_METHODS = ("closed_form", "functional_equation")
+
+
+def _trimmed(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """The coefficients up to the last nonzero one."""
+    return coeffs[:max((i + 1 for i, c in enumerate(coeffs) if c), default=0)]
 
 
 def _over_common_denominator(coeffs: Iterable[Fraction]) -> tuple[list[int], int]:
@@ -146,13 +151,9 @@ class TruncatedSeries:
             return TruncatedSeries(tuple(a * f for a in self.coeffs))
         self._require_same_order(other, "mul")
         n = self.order
-        # one exact path for every operand: each factor is scaled by the lcm
-        # of its denominators (1 for the integral series the routes
-        # multiply), each coefficient is one int dot product, run in C, and
-        # is divided once; a's trailing zeros are dropped, so a left factor
-        # such as x^k costs O(order)
-        last = max((i for i, c in enumerate(self.coeffs) if c), default=-1)
-        a, da = _over_common_denominator(self.coeffs[:last + 1])
+        # a's trailing zeros are dropped, so a left factor such as x^k costs
+        # O(order); b is reversed, so each coefficient is one dot product
+        a, da = _over_common_denominator(_trimmed(self.coeffs))
         b, db = _over_common_denominator(reversed(other.coeffs))
         d = da * db
         return TruncatedSeries(tuple(
@@ -179,38 +180,37 @@ class TruncatedSeries:
         return result
 
     def reciprocal(self) -> "TruncatedSeries":
-        """Series b with self * b = 1 mod x^order; needs c_0 != 0."""
-        a = self.coeffs
-        if not a[0]:
+        """Series b with self * b = 1 mod x^order; needs c_0 != 0.
+
+        With self = A / d over ints and c = A_0, b_n = d N_n / c^(n+1), where
+        N_0 = 1 and N_n = -sum_{i>=1} A_i c^(i-1) N_(n-i).
+        """
+        if not self.coeffs[0]:
             raise ValueError("reciprocal needs a nonzero constant term")
-        inv0 = Fraction(1) / a[0]
-        out = [inv0]
-        for n in range(1, self.order):
-            acc = Fraction(0)
-            for i in range(1, n + 1):
-                if a[i]:
-                    acc += a[i] * out[n - i]
-            out.append(-acc * inv0)
-        return TruncatedSeries(tuple(out))
+        a, d = _over_common_denominator(_trimmed(self.coeffs))
+        c = a[0]
+        scaled = [a[i] * c ** (i - 1) for i in range(1, len(a))]
+        nums = [1]
+        for _ in range(1, self.order):
+            nums.append(-sum(map(mul, scaled, reversed(nums[-len(scaled):]))))
+        return TruncatedSeries(tuple(Fraction(d * v, c ** (n + 1)) for n, v in enumerate(nums)))
 
     def sqrt(self) -> "TruncatedSeries":
         """The square root with constant term +1; needs c_0 = 1 exactly.
 
-        Coefficients come from matching s*s = self term by term:
-        s_n = (a_n - sum_{0<i<n} s_i s_{n-i}) / 2.  Callers in this library
-        only ever take square roots of unit-constant series, so the general
-        square-constant case is deliberately rejected.
+        Matching s*s = self term by term, with self = A / d over ints, gives
+        s_n = N_n / (2^(2n-1) d^n) for n >= 1, where N_n = A_n (4d)^(n-1) -
+        sum_{0<i<n} N_i N_(n-i).  Callers only ever take square roots of
+        unit-constant series, so the square-constant case is rejected.
         """
-        a = self.coeffs
-        if a[0] != 1:
-            raise ValueError(f"sqrt needs constant term exactly 1, got {a[0]}")
-        out = [Fraction(1)]
+        if self.coeffs[0] != 1:
+            raise ValueError(f"sqrt needs constant term exactly 1, got {self.coeffs[0]}")
+        a, d = _over_common_denominator(self.coeffs)
+        nums = [1]
         for n in range(1, self.order):
-            acc = a[n]
-            for i in range(1, n):
-                acc -= out[i] * out[n - i]
-            out.append(acc / 2)
-        return TruncatedSeries(tuple(out))
+            nums.append(a[n] * (4 * d) ** (n - 1) - sum(map(mul, nums[1:n], nums[n - 1:0:-1])))
+        out = (Fraction(nums[n], 2 ** (2 * n - 1) * d ** n) for n in range(1, self.order))
+        return TruncatedSeries((Fraction(1), *out))
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner(x)) mod x^order, by Horner evaluation in the series ring.
@@ -326,9 +326,9 @@ def column_gf(j: int, order: int, method: str = "closed_form") -> TruncatedSerie
     if method == "closed_form":
         f = fibonacci_gf(order + 1)
         c_of_f2 = catalan_gf(order + 1).compose(f * f)
-        numer = f ** (j + 1) * c_of_f2 ** j
-        denom = TruncatedSeries.one(order + 1) - f * f * c_of_f2 * 2
-        return (numer * denom.reciprocal()).shift_div(1)
+        h = f * c_of_f2
+        denom = TruncatedSeries.one(order + 1) - f * h * 2
+        return (f * h ** j * denom.reciprocal()).shift_div(1)
     if method == "functional_equation":
         b = motzkin2_gf(order, "functional_equation")
         denom = _fib_denominator(order) - TruncatedSeries.monomial(2, order) * b * 2

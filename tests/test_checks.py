@@ -145,6 +145,32 @@ def test_column_routes_catch_corruption(monkeypatch):
     assert "closed_form=" in result.detail and "functional_equation=" in result.detail
 
 
+@pytest.mark.parametrize("corrupt, detail", [
+    pytest.param(
+        lambda s: bumped(s, 5, Fraction(1, 2)),
+        "column 3: coefficient of x^5 is 39/2, not an integer",
+        id="half",
+    ),
+    pytest.param(
+        lambda s: bumped(s, 5, -2 * s.coeffs[5]), "column 3 has a negative coefficient",
+        id="negated",
+    ),
+])
+def test_column_routes_catch_agreeing_bad_coefficients(monkeypatch, corrupt, detail):
+    # both routes corrupted alike agree, so only the integrality and sign
+    # checks can catch the fault
+    real = checks.column_gf
+
+    def corrupted(j, order, method="closed_form"):
+        series = real(j, order, method)
+        return corrupt(series) if j == 3 else series
+
+    monkeypatch.setattr(checks, "column_gf", corrupted)
+    result = check_column_routes(16)
+    assert result.status == "FAIL"
+    assert result.detail == detail
+
+
 def test_convolved_fibonacci_catches_corruption(monkeypatch):
     real = checks.convolved_fib_gould
     monkeypatch.setattr(

@@ -1,6 +1,9 @@
 """Property-based tests on top of the fixed sweeps, derandomised so every run
 draws the same examples and writes no example database."""
 
+import io
+import re
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pascal_rhombus import TruncatedSeries, binomial, build_table, entry_convolved, entry_triple_sum
+from pascal_rhombus import cli
 
 # on a failure hypothesis imports libcst to suggest a patch, and where libcst
 # runs on mypy_extensions that import warns; as an error it would turn the
@@ -63,6 +67,28 @@ def plain_convolution(a, b):
     return [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)) for k in range(n)]
 
 
+def reference_reciprocal(a):
+    out = [1 / a[0]]
+    for n in range(1, len(a)):
+        out.append(-sum((a[i] * out[n - i] for i in range(1, n + 1)), Fraction(0)) / a[0])
+    return out
+
+
+def reference_sqrt(a):
+    out = [Fraction(1)]
+    for n in range(1, len(a)):
+        out.append((a[n] - sum((out[i] * out[n - i] for i in range(1, n)), Fraction(0))) / 2)
+    return out
+
+
+@st.composite
+def kernel_operand(draw, constants):
+    # huge integers or small rationals, and zeros often enough to trim
+    values = draw(st.sampled_from([st.integers(-2, 2) | st.integers(-10**30, 10**30),
+                                   small_rationals]))
+    return draw(series(draw(st.integers(1, 10)), draw(constants), values))
+
+
 def untrimmed_horner(outer, inner):
     one = TruncatedSeries.one(outer.order)
     acc = outer.coeffs[-1] * one
@@ -111,7 +137,7 @@ def test_compose_is_associative_with_x_plus_x2(pair):
 @given(same_order_pair(st.integers(-2, 2) | st.integers(-10**30, 10**30))
        | same_order_pair(small_rationals))
 def test_mul_is_the_plain_convolution(pair):
-    # integral operands take the int path of __mul__, any other the Fraction one
+    # huge integral and rational operands share the one int path of __mul__
     a, b = pair
     product = a * b
     assert list(product.coeffs) == plain_convolution(a.coeffs, b.coeffs)
@@ -129,3 +155,87 @@ def test_trimmed_compose_is_full_horner(pair):
     # valuations 1, 2 and 3, and the all-zero inner (valuation = order)
     outer, inner = pair
     assert outer.compose(inner) == untrimmed_horner(outer, inner)
+
+
+@settings(exact, max_examples=60)
+@given(kernel_operand(st.sampled_from([1, -1, 3, -2, Fraction(5, 7)])))
+def test_reciprocal_is_the_fraction_loop(s):
+    inverse = s.reciprocal()
+    assert list(inverse.coeffs) == reference_reciprocal(s.coeffs)
+    assert all(type(c) is Fraction for c in inverse.coeffs)
+
+
+@settings(exact, max_examples=60)
+@given(kernel_operand(st.just(1)))
+def test_sqrt_is_the_fraction_loop(s):
+    root = s.sqrt()
+    assert list(root.coeffs) == reference_sqrt(s.coeffs)
+    assert all(type(c) is Fraction for c in root.coeffs)
+
+
+def _opt(flag, values):
+    return values.map(lambda v: [flag, str(v)])
+
+
+def _argv(*parts):
+    """One argv joined from strategies that each draw a list of arguments."""
+    return st.tuples(*parts).map(lambda lists: sum(lists, []))
+
+
+# sizes stay small where no cap guards the cost; huge values go only where
+# --max-order, --oracle-cap or --order turns them away before any work
+SMALL = st.integers(-3, 60)
+SMALL_ORDER = st.integers(-2, 20)
+FORMAT = _opt("--format", st.sampled_from(cli.FORMATS))
+ORACLE_CAP = _opt("--oracle-cap", st.integers(-2, 8))
+
+
+@st.composite
+def entry_argv(draw):
+    method = draw(st.sampled_from([*cli.ROUTES, "all"]))
+    i = draw(SMALL | st.integers(61, 10**9) if method in ("series", "oracle") else SMALL)
+    capped = method in ("series", "all")
+    order = draw(SMALL_ORDER | st.integers(cli.MAX_ORDER + 1, 10**9) if capped else SMALL)
+    return ["entry", str(i), str(draw(st.integers(-70, 70))), "--method", method,
+            "--order", str(order), *draw(ORACLE_CAP), *draw(FORMAT)]
+
+
+@st.composite
+def series_argv(draw):
+    name = draw(st.sampled_from(["F", "C", "B", "L", "X", "Lx"])
+                | (SMALL | st.integers(61, 10**18)).map(lambda j: f"L{j}"))
+    column = re.fullmatch(r"L-?\d+", name)
+    order = draw(SMALL_ORDER | st.integers(cli.MAX_ORDER + 1, 10**9) if column else SMALL_ORDER)
+    return ["series", name, "--order", str(order), *draw(FORMAT)]
+
+
+JUNK = st.lists(st.sampled_from([
+    "entry", "row", "column", "series", "5", "-1", "B", "L3", "--order", "--terms",
+    "--method", "all", "--format", "xml", "abc", "--bogus",
+]), max_size=6)
+
+ARGV = st.one_of(
+    entry_argv(),
+    _argv(st.just(["row"]), SMALL.map(lambda i: [str(i)]), FORMAT),
+    _argv(st.just(["column"]), SMALL.map(lambda j: [str(j)]), _opt("--terms", SMALL), FORMAT),
+    series_argv(),
+    _argv(
+        st.just(["check"]),
+        _opt("--max-i", st.integers(-2, 10)),
+        _opt("--order", SMALL_ORDER | st.integers(cli.CHECK_MAX_ORDER + 1, 10**9)),
+        _opt("--max-oracle-n", st.integers(-2, 6)),
+        ORACLE_CAP,
+    ),
+    JUNK,
+)
+
+
+@settings(exact, max_examples=150)
+@given(ARGV)
+def test_every_argv_exits_0_1_or_2(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
