@@ -22,12 +22,13 @@ from .closedforms import (
     entry_convolved,
     entry_triple_sum,
 )
-from .paths import DEFAULT_CAP, count_by_height, count_motzkin2
+from .paths import DEFAULT_CAP, count_by_height, count_motzkin2, walk_paths
 from .rhombus import RhombusTable, build_table, iter_rows
 from .series import (
     TruncatedSeries,
     catalan_gf,
     column_gf,
+    column_gfs,
     fibonacci_gf,
     motzkin2_gf,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "catalan_gf",
     "motzkin2_gf",
     "column_gf",
+    "column_gfs",
     "RhombusTable",
     "build_table",
     "iter_rows",
@@ -52,6 +54,7 @@ __all__ = [
     "DEFAULT_CAP",
     "count_by_height",
     "count_motzkin2",
+    "walk_paths",
     "CheckResult",
     "run_all",
     "__version__",

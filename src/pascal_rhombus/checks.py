@@ -8,7 +8,9 @@ rule of agreement (exact equality of all values) and of the failure detail,
 and it stops at the first point that fails.
 Each suite looks its routes up by name in this module, so a test proves that
 the checks bite by monkeypatching one name here (``build_table``,
-``column_gf``, ...) with a corrupted version.
+``column_gfs``, ...) with a corrupted version.  :func:`run_all` builds each
+column route's L_0 .. L_6 once for the three suites that read columns; a
+suite called without them builds its own.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from .closedforms import (
     entry_convolved,
     entry_triple_sum,
 )
-from .paths import DEFAULT_CAP, count_by_height, count_motzkin2
+from .paths import DEFAULT_CAP, walk_paths
 from .rhombus import build_table
 from .series import (
-    COLUMN_METHODS, MOTZKIN2_METHODS, TruncatedSeries, catalan_gf, column_gf, motzkin2_gf,
+    COLUMN_METHODS, MOTZKIN2_METHODS, TruncatedSeries, catalan_gf, column_gfs, motzkin2_gf,
 )
 
 __all__ = [
@@ -45,6 +47,8 @@ __all__ = [
 ]
 
 Points = Iterable[tuple[str, dict[str, object]]]
+# L_0 .. L_max_j of each column route, by method
+Columns = dict[str, list[TruncatedSeries]]
 
 
 @dataclass
@@ -85,16 +89,15 @@ def _coefficients(where: str, routes: dict[str, TruncatedSeries]) -> Points:
     )
 
 
-def check_method_agreement(max_i: int = 40, series_order: int = 30) -> CheckResult:
+def check_method_agreement(max_i: int = 40, series_order: int = 30,
+                           series_columns: list[TruncatedSeries] | None = None) -> CheckResult:
     """recurrence = triple sum = convolved form for all entries to max_i,
-    and = series coefficients where the column generating functions reach."""
+    and = series coefficients where the closed-form columns reach."""
     name = f"method-agreement (i <= {max_i})"
     series_j_cap = 6
     table = build_table(max_i)
-    columns = {
-        j: column_gf(j, series_order).coeffs
-        for j in range(min(series_j_cap, max_i) + 1)
-    }
+    if series_columns is None:
+        series_columns = column_gfs(min(series_j_cap, max_i), series_order)
 
     def points():
         for i in range(max_i + 1):
@@ -105,7 +108,7 @@ def check_method_agreement(max_i: int = 40, series_order: int = 30) -> CheckResu
                     "convolved": entry_convolved(i, j),
                 }
                 if abs(j) <= series_j_cap and i < series_order:
-                    values["series"] = columns[abs(j)][i]
+                    values["series"] = series_columns[abs(j)].coeffs[i]
                 yield f"(i={i}, j={j})", values
 
     return _agreement(name, points())
@@ -121,14 +124,13 @@ def check_oracle_agreement(max_n: int = 12, oracle_cap: int = DEFAULT_CAP) -> Ch
         return CheckResult(name, True, "max_n is 0", skipped=True)
     table = build_table(max_n)
     b = motzkin2_gf(max_n + 1).coeffs
+    by_height, closed = walk_paths(max_n, cap=oracle_cap)
 
     def points():
         for n in range(max_n + 1):
-            counts = count_by_height(n, cap=oracle_cap)
             for j in range(-n, n + 1):
-                yield f"(n={n}, j={j})", {"oracle": counts.get(j, 0), "table": table.entry(n, j)}
-            closed = count_motzkin2(n, cap=oracle_cap)
-            yield f"closed paths of length n={n}", {"oracle": closed, "series": b[n]}
+                yield f"(n={n}, j={j})", {"oracle": by_height[n].get(j, 0), "table": table.entry(n, j)}
+            yield f"closed paths of length n={n}", {"oracle": closed[n], "series": b[n]}
 
     return _agreement(name, points())
 
@@ -140,30 +142,35 @@ def check_motzkin2_routes(order: int = 30) -> CheckResult:
     return _agreement(name, _coefficients("", routes))
 
 
-def check_column_functional_equation(order: int = 30) -> CheckResult:
+def check_column_functional_equation(order: int = 30, columns: Columns | None = None) -> CheckResult:
     """Each column series M satisfies M = x^j B^j + (x + x^2) M + 2 x^2 B M."""
     max_j = 5
     name = f"column-functional-equation (j <= {max_j})"
+    if columns is None:
+        columns = {method: column_gfs(max_j, order, method) for method in COLUMN_METHODS}
     b = motzkin2_gf(order)
     x_plus_x2 = TruncatedSeries.from_coeffs([0, 1, 1], order)
     two_x2_b = TruncatedSeries.monomial(2, order) * b * 2
 
     def points():
         for j in range(max_j + 1):
+            x_b_j = TruncatedSeries.monomial(j, order) * b ** j
             for method in COLUMN_METHODS:
-                m = column_gf(j, order, method)
-                rhs = TruncatedSeries.monomial(j, order) * b ** j + x_plus_x2 * m + two_x2_b * m
+                m = columns[method][j]
+                rhs = x_b_j + x_plus_x2 * m + two_x2_b * m
                 yield from _coefficients(f" of column {j} ({method})", {"lhs": m, "rhs": rhs})
 
     return _agreement(name, points())
 
 
-def check_column_routes(order: int = 30) -> CheckResult:
+def check_column_routes(order: int = 30, columns: Columns | None = None) -> CheckResult:
     """Both column constructions agree and give non-negative integers."""
     max_j = 6
     name = f"column-route-agreement (j <= {max_j})"
+    if columns is None:
+        columns = {method: column_gfs(max_j, order, method) for method in COLUMN_METHODS}
     for j in range(max_j + 1):
-        routes = {method: column_gf(j, order, method) for method in COLUMN_METHODS}
+        routes = {method: columns[method][j] for method in COLUMN_METHODS}
         detail = first_disagreement(_coefficients(f" of column {j}", routes))
         if detail:
             return CheckResult(name, False, detail)
@@ -234,12 +241,14 @@ def run_all(
     oracle_cap: int = DEFAULT_CAP,
 ) -> list[CheckResult]:
     """Run every suite; the CLI's one-shot consistency check."""
+    # L_0 .. L_6 is the most any suite reads
+    columns = {method: column_gfs(6, series_order, method) for method in COLUMN_METHODS}
     return [
-        check_method_agreement(max_i, series_order),
+        check_method_agreement(max_i, series_order, columns["closed_form"]),
         check_oracle_agreement(max_oracle_n, oracle_cap),
         check_motzkin2_routes(series_order),
-        check_column_functional_equation(series_order),
-        check_column_routes(series_order),
+        check_column_functional_equation(series_order, columns),
+        check_column_routes(series_order, columns),
         check_convolved_fibonacci(),
         check_catalan_binomial(series_order),
         check_symmetry(max_i),

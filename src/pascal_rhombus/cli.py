@@ -33,11 +33,17 @@ EXIT_DISAGREEMENT = 1
 EXIT_USAGE = 2
 
 # the largest series --order a command accepts unless --max-order is raised:
-# at these orders one request takes about 5 s (series L<j>, entry --method
-# series) or 7 s (check, which builds about twenty column series) on CPython
-# 3.11, x86-64, and the cost grows faster than the cube of the order
+# at these orders one request takes about 4-8 s (series L<j>, entry --method
+# series; L<j> costs more the closer j is to the order), 5 s (series B or C;
+# F is far cheaper) or 1 s (check, which builds each column route once) on
+# CPython 3.11, x86-64, and the cost grows faster than the cube of the order
 MAX_ORDER = 400
+SERIES_MAX_ORDER = 1500
 CHECK_MAX_ORDER = 150
+# the deepest row that row, column and entry --method recurrence compute
+# unless --max-depth is raised: row 3000 takes about 4 s there, and the cost
+# grows faster than the cube of the depth (row 4000 takes 13 s)
+MAX_DEPTH = 3000
 
 
 class UsageError(Exception):
@@ -45,7 +51,8 @@ class UsageError(Exception):
 
 
 class OutOfReach(UsageError):
-    """A route cannot reach the requested entry within its --order or --oracle-cap."""
+    """A route cannot reach the requested entry within its --order, --oracle-cap
+    or --max-depth."""
 
 
 def _say(text: str, stream: TextIO) -> None:
@@ -68,13 +75,19 @@ def _emit_sequence(values: list[int], fmt: str) -> str:
     return ",".join(str(v) for v in values)
 
 
-def _require_max_order(args: argparse.Namespace) -> None:
-    # only a column series L<j> is costly enough to need the cap; F, C and B
-    # are quadratic in the order at most
-    if args.order > args.max_order:
+def _require_max_order(order: int, max_order: int) -> None:
+    if order > max_order:
         raise UsageError(
-            f"--order {args.order} is above --max-order {args.max_order}; "
+            f"--order {order} is above --max-order {max_order}; "
             "raise the cap knowingly, the cost grows faster than the cube of the order"
+        )
+
+
+def _require_max_depth(depth: int, args: argparse.Namespace) -> None:
+    if depth > args.max_depth:
+        raise OutOfReach(
+            f"row {depth} is past --max-depth {args.max_depth}; "
+            "raise the cap knowingly, the cost grows faster than the cube of the depth"
         )
 
 
@@ -101,10 +114,15 @@ def _last_row(i: int) -> list[int]:
     return row
 
 
-# the lambdas look the route functions up by name at call time, so a
+def _recurrence_route(i: int, j: int, args: argparse.Namespace) -> int:
+    _require_max_depth(i, args)
+    return _last_row(i)[j + i] if abs(j) <= i else 0
+
+
+# the routes look the functions they call up by name at call time, so a
 # rebound module attribute (a test's fake, a tracer's wrapper) is honoured
 ROUTES: dict[str, Callable[[int, int, argparse.Namespace], int]] = {
-    "recurrence": lambda i, j, args: _last_row(i)[j + i] if abs(j) <= i else 0,
+    "recurrence": _recurrence_route,
     "triple_sum": lambda i, j, args: entry_triple_sum(i, j),
     "convolved": lambda i, j, args: entry_convolved(i, j),
     "series": _series_route,
@@ -119,7 +137,7 @@ def _cmd_entry(args: argparse.Namespace) -> tuple[int, str]:
     if args.order < 1:
         raise UsageError(f"--order must be >= 1, got {args.order}")
     if args.method in ("series", "all"):
-        _require_max_order(args)
+        _require_max_order(args.order, args.max_order)
     if args.oracle_cap < 0:
         raise UsageError(f"--oracle-cap must be >= 0, got {args.oracle_cap}")
     if args.method != "all":
@@ -143,6 +161,7 @@ def _cmd_entry(args: argparse.Namespace) -> tuple[int, str]:
 def _cmd_row(args: argparse.Namespace) -> tuple[int, str]:
     if args.i < 0:
         raise UsageError(f"row index must be >= 0, got {args.i}")
+    _require_max_depth(args.i, args)
     return EXIT_OK, _emit_sequence(_last_row(args.i), args.format)
 
 
@@ -150,7 +169,9 @@ def _cmd_column(args: argparse.Namespace) -> tuple[int, str]:
     if args.terms < 1:
         raise UsageError(f"--terms must be >= 1, got {args.terms}")
     j = args.j
-    rows = enumerate(iter_rows(abs(j) + args.terms - 1))
+    depth = abs(j) + args.terms - 1
+    _require_max_depth(depth, args)
+    rows = enumerate(iter_rows(depth))
     return EXIT_OK, _emit_sequence([row[j + i] for i, row in rows if i >= abs(j)], args.format)
 
 
@@ -158,18 +179,17 @@ def _cmd_series(args: argparse.Namespace) -> tuple[int, str]:
     if args.order < 1:
         raise UsageError(f"--order must be >= 1, got {args.order}")
     name = args.name
-    if name == "F":
-        s = fibonacci_gf(args.order)
-    elif name == "C":
-        s = catalan_gf(args.order)
-    elif name == "B":
-        s = motzkin2_gf(args.order)
+    column = re.fullmatch(r"L(-?\d+)", name)
+    if name not in ("F", "C", "B") and not column:
+        raise UsageError(f"unknown series {name!r}; expected F, C, B or L<j>")
+    max_order = args.max_order
+    if max_order is None:
+        max_order = MAX_ORDER if column else SERIES_MAX_ORDER
+    _require_max_order(args.order, max_order)
+    if column:
+        s = column_gf(abs(int(column.group(1))), args.order)
     else:
-        match = re.fullmatch(r"L(-?\d+)", name)
-        if not match:
-            raise UsageError(f"unknown series {name!r}; expected F, C, B or L<j>")
-        _require_max_order(args)
-        s = column_gf(abs(int(match.group(1))), args.order)
+        s = {"F": fibonacci_gf, "C": catalan_gf, "B": motzkin2_gf}[name](args.order)
     return EXIT_OK, _emit_sequence(s.integer_coefficients(), args.format)
 
 
@@ -178,7 +198,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, str]:
         raise UsageError(f"--max-i must be >= 1, got {args.max_i}")
     if args.order < 1:
         raise UsageError(f"--order must be >= 1, got {args.order}")
-    _require_max_order(args)
+    _require_max_order(args.order, args.max_order)
     if args.max_oracle_n < 0:
         raise UsageError(f"--max-oracle-n must be >= 0, got {args.max_oracle_n}")
     if args.oracle_cap < args.max_oracle_n:
@@ -206,10 +226,15 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=FORMATS, default="plain")
 
-    def add_max_order(p: argparse.ArgumentParser, default: int) -> None:
+    def add_max_order(p: argparse.ArgumentParser, default: int | None, shown: str = "") -> None:
         p.add_argument("--max-order", type=int, default=default,
-                       help="refuse a larger --order for a column series; "
-                            "its cost grows steeply with the order")
+                       help=f"refuse a larger --order (default {shown or default}); "
+                            "the cost grows steeply with the order")
+
+    def add_max_depth(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--max-depth", type=int, default=MAX_DEPTH,
+                       help="refuse to compute rows past this one; "
+                            "the cost grows steeply with the depth")
 
     p_entry = sub.add_parser("entry", help="one entry r[i][j]")
     p_entry.add_argument("i", type=int)
@@ -218,6 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_entry.add_argument("--order", type=int, default=30,
                          help="series truncation order for the series method")
     add_max_order(p_entry, MAX_ORDER)
+    add_max_depth(p_entry)
     p_entry.add_argument("--oracle-cap", type=int, default=DEFAULT_CAP,
                          help="refuse exhaustive enumeration beyond this length")
     add_format(p_entry)
@@ -225,19 +251,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_row = sub.add_parser("row", help="one full row of the table")
     p_row.add_argument("i", type=int)
+    add_max_depth(p_row)
     add_format(p_row)
     p_row.set_defaults(func=_cmd_row)
 
     p_col = sub.add_parser("column", help="a column of the table, top down")
     p_col.add_argument("j", type=int)
     p_col.add_argument("--terms", type=int, default=10)
+    add_max_depth(p_col)
     add_format(p_col)
     p_col.set_defaults(func=_cmd_column)
 
     p_series = sub.add_parser("series", help="coefficients of F, C, B or L<j>")
     p_series.add_argument("name")
     p_series.add_argument("--order", type=int, default=30)
-    add_max_order(p_series, MAX_ORDER)
+    add_max_order(p_series, None, f"{MAX_ORDER} for L<j>, {SERIES_MAX_ORDER} for F, C and B")
     add_format(p_series)
     p_series.set_defaults(func=_cmd_series)
 

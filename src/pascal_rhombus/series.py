@@ -27,8 +27,9 @@ On top of the ring operations (add, multiply, reciprocal, square root,
 composition) this module builds the named series the rest of the library
 consumes: the Fibonacci and Catalan generating functions, the generating
 function of level-step-2 Motzkin counts (``motzkin2_gf``), and the column
-generating functions of the rhombus (``column_gf``), each constructible by
-independent routes that the test suite compares coefficient by coefficient.
+generating functions of the rhombus (``column_gfs`` for columns 0 .. j at
+once, ``column_gf`` for one), each constructible by independent routes that
+the test suite compares coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
     "catalan_gf",
     "motzkin2_gf",
     "column_gf",
+    "column_gfs",
     "MOTZKIN2_METHODS",
     "COLUMN_METHODS",
 ]
@@ -309,28 +311,46 @@ def motzkin2_gf(order: int, method: str = "closed_form") -> TruncatedSeries:
     raise ValueError(f"unknown method {method!r}; choose from {MOTZKIN2_METHODS}")
 
 
-def column_gf(j: int, order: int, method: str = "closed_form") -> TruncatedSeries:
-    """Generating function L_j of column j >= 0 of the rhombus.
+def column_gfs(max_j: int, order: int, method: str = "closed_form") -> list[TruncatedSeries]:
+    """Generating functions L_0 .. L_max_j of columns 0 .. max_j of the rhombus.
 
     Both routes must agree, and despite the rational sqrt/reciprocal
-    intermediates every coefficient is a non-negative integer:
+    intermediates every coefficient is a non-negative integer.  Each route
+    builds L_0 once, then makes one product per further column:
 
-    * ``closed_form``: F^(j+1) C(F^2)^j / (x (1 - 2 F^2 C(F^2))),
+    * ``closed_form``: F^(j+1) C(F^2)^j / (x (1 - 2 F^2 C(F^2))), so
+      L_(j+1) = h L_j with h = F C(F^2),
     * ``functional_equation``: x^j B^j / (1 - x - x^2 - 2 x^2 B), the
-      linear equation satisfied by the column generating function.
+      linear equation satisfied by the column generating function, so
+      L_(j+1) = x B L_j.
     """
-    if j < 0:
-        raise ValueError(f"column index must be >= 0, got {j}")
+    if max_j < 0:
+        raise ValueError(f"column index must be >= 0, got {max_j}")
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
     if method == "closed_form":
+        # L_0 = F / (x (1 - 2 F h)) needs order + 1 coefficients of F and h
         f = fibonacci_gf(order + 1)
-        c_of_f2 = catalan_gf(order + 1).compose(f * f)
-        h = f * c_of_f2
+        h = f * catalan_gf(order + 1).compose(f * f)
         denom = TruncatedSeries.one(order + 1) - f * h * 2
-        return (f * h ** j * denom.reciprocal()).shift_div(1)
-    if method == "functional_equation":
+        column = (f * denom.reciprocal()).shift_div(1)
+        step = h.truncate(order)
+    elif method == "functional_equation":
         b = motzkin2_gf(order, "functional_equation")
         denom = _fib_denominator(order) - TruncatedSeries.monomial(2, order) * b * 2
-        return TruncatedSeries.monomial(j, order) * b ** j * denom.reciprocal()
-    raise ValueError(f"unknown method {method!r}; choose from {COLUMN_METHODS}")
+        column = denom.reciprocal()
+        step = TruncatedSeries.monomial(1, order) * b
+    else:
+        raise ValueError(f"unknown method {method!r}; choose from {COLUMN_METHODS}")
+    columns = [column]
+    for _ in range(max_j):
+        column = column * step
+        columns.append(column)
+    return columns
+
+
+def column_gf(j: int, order: int, method: str = "closed_form") -> TruncatedSeries:
+    """Generating function L_j of column j >= 0, the last of :func:`column_gfs`.
+
+    L_j has valuation j, so from j = order on it is the zero series."""
+    return column_gfs(min(j, order), order, method)[-1]

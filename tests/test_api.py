@@ -4,9 +4,9 @@ import pascal_rhombus
 
 PUBLIC = {
     "binomial", "TruncatedSeries", "fibonacci_gf", "catalan_gf", "motzkin2_gf",
-    "column_gf", "RhombusTable", "build_table", "iter_rows", "entry_triple_sum",
+    "column_gf", "column_gfs", "RhombusTable", "build_table", "iter_rows", "entry_triple_sum",
     "entry_convolved", "convolved_fib_series", "convolved_fib_gould", "convolved_fib_product",
-    "DEFAULT_CAP", "count_by_height", "count_motzkin2", "CheckResult", "run_all",
+    "DEFAULT_CAP", "count_by_height", "count_motzkin2", "walk_paths", "CheckResult", "run_all",
     "__version__",
 }
 

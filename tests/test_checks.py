@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from pascal_rhombus import RhombusTable, TruncatedSeries, checks, iter_rows, run_all
+from pascal_rhombus.series import COLUMN_METHODS
 from pascal_rhombus.checks import (
     check_catalan_binomial,
     check_column_functional_equation,
@@ -34,6 +35,22 @@ def bumped(series, k, by=1):
     coeffs = list(series.coeffs)
     coeffs[k] += by
     return TruncatedSeries(tuple(coeffs))
+
+
+def corrupt_columns(monkeypatch, corrupt):
+    """Make every column series the suites build, alone or shared by
+    ``run_all``, pass through ``corrupt(j, method, series)``."""
+    real = checks.column_gfs
+
+    def corrupted(max_j, order, method="closed_form"):
+        return [corrupt(j, method, series) for j, series in enumerate(real(max_j, order, method))]
+
+    monkeypatch.setattr(checks, "column_gfs", corrupted)
+
+
+def shared_result(name):
+    """The result of the suite called ``name`` within a small ``run_all``."""
+    return next(r for r in run_all(max_i=6, max_oracle_n=0, series_order=16) if r.name == name)
 
 
 def test_first_disagreement_names_the_first_failing_point():
@@ -118,31 +135,25 @@ def test_motzkin2_routes_catch_corruption(monkeypatch):
 
 
 def test_column_functional_equation_catches_corruption(monkeypatch):
-    real = checks.column_gf
-
-    def corrupted(j, order, method="closed_form"):
-        series = real(j, order, method)
-        return bumped(series, 7) if (j, method) == (2, "functional_equation") else series
-
-    monkeypatch.setattr(checks, "column_gf", corrupted)
-    result = check_column_functional_equation(16)
-    assert result.status == "FAIL"
-    assert "column 2" in result.detail and "x^7" in result.detail
-    assert "functional_equation" in result.detail
+    corrupt_columns(monkeypatch, lambda j, method, series: (
+        bumped(series, 7) if (j, method) == (2, "functional_equation") else series
+    ))
+    alone = check_column_functional_equation(16)
+    for result in (alone, shared_result(alone.name)):
+        assert result.status == "FAIL"
+        assert "column 2" in result.detail and "x^7" in result.detail
+        assert "functional_equation" in result.detail
 
 
 def test_column_routes_catch_corruption(monkeypatch):
-    real = checks.column_gf
-
-    def corrupted(j, order, method="closed_form"):
-        series = real(j, order, method)
-        return bumped(series, 5) if (j, method) == (3, "closed_form") else series
-
-    monkeypatch.setattr(checks, "column_gf", corrupted)
-    result = check_column_routes(16)
-    assert result.status == "FAIL"
-    assert "column 3" in result.detail and "x^5" in result.detail
-    assert "closed_form=" in result.detail and "functional_equation=" in result.detail
+    corrupt_columns(monkeypatch, lambda j, method, series: (
+        bumped(series, 5) if (j, method) == (3, "closed_form") else series
+    ))
+    alone = check_column_routes(16)
+    for result in (alone, shared_result(alone.name)):
+        assert result.status == "FAIL"
+        assert "column 3" in result.detail and "x^5" in result.detail
+        assert "closed_form=" in result.detail and "functional_equation=" in result.detail
 
 
 @pytest.mark.parametrize("corrupt, detail", [
@@ -159,16 +170,11 @@ def test_column_routes_catch_corruption(monkeypatch):
 def test_column_routes_catch_agreeing_bad_coefficients(monkeypatch, corrupt, detail):
     # both routes corrupted alike agree, so only the integrality and sign
     # checks can catch the fault
-    real = checks.column_gf
-
-    def corrupted(j, order, method="closed_form"):
-        series = real(j, order, method)
-        return corrupt(series) if j == 3 else series
-
-    monkeypatch.setattr(checks, "column_gf", corrupted)
-    result = check_column_routes(16)
-    assert result.status == "FAIL"
-    assert result.detail == detail
+    corrupt_columns(monkeypatch, lambda j, method, series: corrupt(series) if j == 3 else series)
+    alone = check_column_routes(16)
+    for result in (alone, shared_result(alone.name)):
+        assert result.status == "FAIL"
+        assert result.detail == detail
 
 
 def test_convolved_fibonacci_catches_corruption(monkeypatch):
@@ -205,9 +211,20 @@ def test_suite_stops_at_first_disagreement(monkeypatch):
     assert calls == [(0, 1), (1, 1), (2, 1), (3, 1)]
 
 
-@pytest.mark.parametrize("route, corrupt_if, k, expected", [
+def half_in_closed_form_column_3(monkeypatch):
+    corrupt_columns(monkeypatch, lambda j, method, series: (
+        bumped(series, 5, Fraction(1, 2)) if (j, method) == (3, "closed_form") else series
+    ))
+
+
+def half_in_motzkin2(monkeypatch):
+    real = checks.motzkin2_gf
+    monkeypatch.setattr(checks, "motzkin2_gf", lambda *args: bumped(real(*args), 4, Fraction(1, 2)))
+
+
+@pytest.mark.parametrize("corrupt, expected", [
     pytest.param(
-        "column_gf", lambda j, order, method="closed_form": (j, method) == (3, "closed_form"), 5,
+        half_in_closed_form_column_3,
         {
             "method-agreement (i <= 12)": "first disagreement at (i=5, j=-3): "
             "recurrence=19, triple_sum=19, convolved=19, series=39/2",
@@ -217,7 +234,7 @@ def test_suite_stops_at_first_disagreement(monkeypatch):
         id="column_gf",
     ),
     pytest.param(
-        "motzkin2_gf", lambda order, method="closed_form": True, 4,
+        half_in_motzkin2,
         {
             "oracle-agreement (n <= 6)": "first disagreement at closed paths of length n=4: "
             "oracle=16, series=33/2",
@@ -225,16 +242,32 @@ def test_suite_stops_at_first_disagreement(monkeypatch):
         id="motzkin2_gf",
     ),
 ])
-def test_non_integer_coefficient_is_a_fail_line(monkeypatch, route, corrupt_if, k, expected):
-    real = getattr(checks, route)
-
-    def corrupted(*args):
-        series = real(*args)
-        return bumped(series, k, Fraction(1, 2)) if corrupt_if(*args) else series
-
-    monkeypatch.setattr(checks, route, corrupted)
+def test_non_integer_coefficient_is_a_fail_line(monkeypatch, corrupt, expected):
+    corrupt(monkeypatch)
     results = {r.name: r for r in run_all(max_i=12, max_oracle_n=6, series_order=14)}
     assert len(results) == 8
     for name, detail in expected.items():
         assert results[name].status == "FAIL"
         assert results[name].detail == detail
+
+
+def test_run_all_builds_each_column_route_once(monkeypatch):
+    real, plain_compose = checks.column_gfs, TruncatedSeries.compose
+    composes, builds = [], []
+
+    def counting_compose(self, inner):
+        composes.append(inner)
+        return plain_compose(self, inner)
+
+    def spy(max_j, order, method="closed_form"):
+        before = len(composes)
+        columns = real(max_j, order, method)
+        builds.append((method, len(composes) - before))
+        return columns
+
+    monkeypatch.setattr(TruncatedSeries, "compose", counting_compose)
+    monkeypatch.setattr(checks, "column_gfs", spy)
+    assert all(r.passed for r in run_all(max_i=12, max_oracle_n=6, series_order=14))
+    # one build per method; the closed form composes C(F^2) once
+    assert sorted(builds) == [("closed_form", 1), ("functional_equation", 0)]
+    assert {method for method, _ in builds} == set(COLUMN_METHODS)

@@ -182,13 +182,17 @@ def test_out_of_range_bounds_are_usage_errors(capsys, argv):
     (["entry", "3", "0", "--method", "series"], cli.MAX_ORDER + 1, cli.MAX_ORDER),
     (["entry", "3", "0", "--method", "all"], cli.MAX_ORDER + 1, cli.MAX_ORDER),
     (["check"], cli.CHECK_MAX_ORDER + 1, cli.CHECK_MAX_ORDER),
-], ids=["series", "series-1e6", "entry-series", "entry-all", "check"])
+    (["series", "B"], cli.SERIES_MAX_ORDER + 1, cli.SERIES_MAX_ORDER),
+    (["series", "C"], 10**5, cli.SERIES_MAX_ORDER),
+    (["series", "F"], cli.SERIES_MAX_ORDER + 1, cli.SERIES_MAX_ORDER),
+], ids=["series", "series-1e6", "entry-series", "entry-all", "check", "series-B", "series-C-1e5",
+        "series-F"])
 def test_order_above_the_cap_is_refused_at_once(capsys, monkeypatch, argv, order, cap):
     def never(*args, **kwargs):
         raise AssertionError("built a series past the cap")
 
-    monkeypatch.setattr(cli, "column_gf", never)
-    monkeypatch.setattr(cli, "run_all", never)
+    for name in ("column_gf", "run_all", "fibonacci_gf", "catalan_gf", "motzkin2_gf"):
+        monkeypatch.setattr(cli, name, never)
     code, out, err = run_cli(capsys, *argv, "--order", str(order))
     assert code == 2
     assert out == ""
@@ -204,8 +208,8 @@ def test_order_above_the_cap_is_refused_at_once(capsys, monkeypatch, argv, order
     (["entry", "5", "0", "--method", "oracle"], "82"),
 ], ids=["F", "C", "B", "entry-recurrence", "entry-triple_sum", "entry-oracle"])
 def test_the_cap_leaves_other_series_and_routes_alone(capsys, argv, expected):
-    # only a column series L<j> is capped; F, C and B cost at most quadratic
-    # time, and the other entry routes never read --order
+    # the column series cap does not reach F, C and B, which have their own
+    # higher cap, and the other entry routes never read --order
     code, out, _ = run_cli(capsys, *argv, "--order", str(cli.MAX_ORDER + 1))
     assert code == 0
     assert out.startswith(expected)
@@ -218,6 +222,44 @@ def test_max_order_moves_the_cap(capsys):
     code, _, err = run_cli(capsys, "series", "L1", "--order", "9", "--max-order", "8")
     assert code == 2
     assert "--max-order 8" in err
+    assert run_cli(capsys, "series", "B", "--order", "6", "--max-order", "6")[:2] == (
+        0, "1,1,3,6,16,40\n"
+    )
+    code, _, err = run_cli(capsys, "series", "B", "--order", "7", "--max-order", "6")
+    assert code == 2
+    assert "--max-order 6" in err
+
+
+@pytest.mark.parametrize("argv, depth", [
+    (["row", str(cli.MAX_DEPTH + 1)], cli.MAX_DEPTH + 1),
+    (["row", "1000000000"], 10**9),
+    (["column", "-3", "--terms", str(cli.MAX_DEPTH - 1)], cli.MAX_DEPTH + 1),
+    (["entry", str(cli.MAX_DEPTH + 1), "0"], cli.MAX_DEPTH + 1),
+    (["entry", "20000", "-7", "--method", "recurrence"], 20000),
+], ids=["row", "row-1e9", "column", "entry", "entry-recurrence"])
+def test_depth_above_the_cap_is_refused_at_once(capsys, monkeypatch, argv, depth):
+    def never(*args, **kwargs):
+        raise AssertionError("computed a row past the cap")
+
+    monkeypatch.setattr(cli, "iter_rows", never)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: row {depth} is past --max-depth {cli.MAX_DEPTH};")
+
+
+def test_max_depth_moves_the_cap(capsys):
+    assert run_cli(capsys, "row", "3", "--max-depth", "3")[:2] == (0, "1,3,8,9,8,3,1\n")
+    assert run_cli(capsys, "column", "1", "--terms", "3", "--max-depth", "3")[:2] == (0, "1,2,8\n")
+    code, _, err = run_cli(capsys, "column", "1", "--terms", "4", "--max-depth", "3")
+    assert code == 2
+    assert "row 4 is past --max-depth 3" in err
+    # entry --method all skips the recurrence past the cap, as it skips the
+    # series past --order and the oracle past --oracle-cap
+    code, out, err = run_cli(capsys, "entry", "4", "2", "--method", "all", "--max-depth", "3")
+    assert code == 0
+    assert out.split() == ["13"] * 4
+    assert err.startswith("skipping recurrence method (row 4 is past --max-depth 3;")
 
 
 def test_internal_failure_exits_1(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """The exhaustive path oracle: enumeration, counts, recurrence."""
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -11,6 +12,7 @@ from pascal_rhombus import (
     count_by_height,
     count_motzkin2,
     motzkin2_gf,
+    walk_paths,
 )
 
 MOTZKIN_NUMBERS = [1, 1, 2, 4, 9, 21, 51]        # A001006
@@ -190,3 +192,30 @@ def test_counts_match_table_entries():
         counts = count_by_height(n)
         for j in range(-n, n + 1):
             assert counts.get(j, 0) == table.entry(n, j)
+
+
+@pytest.mark.parametrize("max_n", [0, 1, 2, 8])
+def test_walk_matches_the_listed_paths(max_n):
+    by_height, closed = walk_paths(max_n)
+    assert len(by_height) == len(closed) == max_n + 1
+    for n in range(max_n + 1):
+        paths = list(enumerate_grand(n))
+        assert by_height[n] == dict(Counter(p.height for p in paths))
+        assert closed[n] == sum(1 for p in paths if p.height == 0 and p.is_nonnegative())
+
+
+def test_walk_tallies_each_path_once():
+    # a path of length n >= 2 starts with U, D or H before a path of length
+    # n - 1, or with H2 before one of length n - 2
+    totals = [1, 3]
+    while len(totals) < 13:
+        totals.append(3 * totals[-1] + totals[-2])
+    by_height, _ = walk_paths(12)
+    assert [sum(counts.values()) for counts in by_height] == totals
+
+
+def test_walk_rejects_bad_lengths():
+    with pytest.raises(ValueError, match="must be >= 0"):
+        walk_paths(-1)
+    with pytest.raises(ValueError, match="cap"):
+        walk_paths(DEFAULT_CAP + 1)

@@ -183,8 +183,10 @@ def _argv(*parts):
 
 
 # sizes stay small where no cap guards the cost; huge values go only where
-# --max-order, --oracle-cap or --order turns them away before any work
+# --max-order, --max-depth, --oracle-cap or --order turns them away before
+# any work
 SMALL = st.integers(-3, 60)
+PAST_MAX_DEPTH = st.integers(cli.MAX_DEPTH + 1, 10**9)
 SMALL_ORDER = st.integers(-2, 20)
 FORMAT = _opt("--format", st.sampled_from(cli.FORMATS))
 ORACLE_CAP = _opt("--oracle-cap", st.integers(-2, 8))
@@ -193,7 +195,10 @@ ORACLE_CAP = _opt("--oracle-cap", st.integers(-2, 8))
 @st.composite
 def entry_argv(draw):
     method = draw(st.sampled_from([*cli.ROUTES, "all"]))
-    i = draw(SMALL | st.integers(61, 10**9) if method in ("series", "oracle") else SMALL)
+    # past --order, --oracle-cap or --max-depth where the route is capped
+    past = {"series": st.integers(61, 10**9), "oracle": st.integers(61, 10**9),
+            "recurrence": PAST_MAX_DEPTH}
+    i = draw(SMALL | past[method] if method in past else SMALL)
     capped = method in ("series", "all")
     order = draw(SMALL_ORDER | st.integers(cli.MAX_ORDER + 1, 10**9) if capped else SMALL)
     return ["entry", str(i), str(draw(st.integers(-70, 70))), "--method", method,
@@ -205,7 +210,8 @@ def series_argv(draw):
     name = draw(st.sampled_from(["F", "C", "B", "L", "X", "Lx"])
                 | (SMALL | st.integers(61, 10**18)).map(lambda j: f"L{j}"))
     column = re.fullmatch(r"L-?\d+", name)
-    order = draw(SMALL_ORDER | st.integers(cli.MAX_ORDER + 1, 10**9) if column else SMALL_ORDER)
+    cap = cli.MAX_ORDER if column else cli.SERIES_MAX_ORDER
+    order = draw(SMALL_ORDER | st.integers(cap + 1, 10**9))
     return ["series", name, "--order", str(order), *draw(FORMAT)]
 
 
@@ -216,8 +222,14 @@ JUNK = st.lists(st.sampled_from([
 
 ARGV = st.one_of(
     entry_argv(),
-    _argv(st.just(["row"]), SMALL.map(lambda i: [str(i)]), FORMAT),
-    _argv(st.just(["column"]), SMALL.map(lambda j: [str(j)]), _opt("--terms", SMALL), FORMAT),
+    _argv(st.just(["row"]), (SMALL | PAST_MAX_DEPTH).map(lambda i: [str(i)]), FORMAT),
+    _argv(
+        st.just(["column"]),
+        (SMALL | PAST_MAX_DEPTH | PAST_MAX_DEPTH.map(lambda j: -j)).map(lambda j: [str(j)]),
+        # column j --terms t reads row |j| + t - 1
+        _opt("--terms", SMALL | PAST_MAX_DEPTH.map(lambda t: t + 1)),
+        FORMAT,
+    ),
     series_argv(),
     _argv(
         st.just(["check"]),

@@ -15,9 +15,11 @@ from pascal_rhombus import (
     TruncatedSeries,
     catalan_gf,
     column_gf,
+    column_gfs,
     fibonacci_gf,
     motzkin2_gf,
 )
+from pascal_rhombus.series import COLUMN_METHODS
 
 FIBONACCI = [0, 1, 1, 2, 3, 5, 8, 13]
 # convolution of FIBONACCI with itself, by hand
@@ -344,6 +346,54 @@ def test_column_gf_rejects_bad_arguments():
         column_gf(-1, 10)
     with pytest.raises(ValueError, match="unknown method"):
         column_gf(0, 10, "magic")
+    with pytest.raises(ValueError):
+        column_gfs(-1, 10)
+    with pytest.raises(ValueError, match="order must be positive"):
+        column_gfs(3, 0)
+
+
+@pytest.mark.parametrize("method", COLUMN_METHODS)
+def test_column_gfs_are_the_single_columns(method):
+    columns = column_gfs(8, 20, method)
+    assert len(columns) == 9
+    assert columns == [column_gf(j, 20, method) for j in range(9)]
+    assert columns[3].integer_coefficients()[3:10] == COLUMN3
+
+
+@pytest.mark.parametrize("method", COLUMN_METHODS)
+def test_columns_past_the_order_are_zero(method):
+    # L_j has valuation j, so from j = order on it vanishes mod x^order,
+    # and a huge j costs no more than j = order
+    zero = TruncatedSeries.from_coeffs([], 6)
+    assert column_gf(5, 6, method).valuation() == 5
+    assert column_gf(6, 6, method) == column_gf(10**20, 6, method) == zero
+
+
+@pytest.mark.parametrize("method", COLUMN_METHODS)
+def test_column_gfs_makes_no_product_past_the_last_column(monkeypatch, method):
+    # one product per column after the first, and none that yields the next
+    # column; the base that all columns share costs the same for every max_j
+    order = 12
+    following = [column_gfs(max_j + 1, order, method)[-1] for max_j in range(6)]
+    products = []
+    plain_mul = TruncatedSeries.__mul__
+
+    def counting_mul(self, other):
+        product = plain_mul(self, other)
+        if isinstance(other, TruncatedSeries):
+            products.append(product)
+        return product
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
+    counts = []
+    for max_j in range(6):
+        products.clear()
+        columns = column_gfs(max_j, order, method)
+        assert following[max_j] not in products
+        if max_j:
+            assert products[-1] == columns[-1]
+        counts.append(len(products))
+    assert counts == [counts[0] + max_j for max_j in range(6)]
 
 
 def test_catalan_binomial_identity_in_x_squared():
