@@ -5,24 +5,61 @@ level step H2 = (2, 0).  The *length* of a path is its total x-extent (so
 H2 contributes 2), its *height* is the final y-coordinate, and a path is
 *non-negative* when no prefix dips below the x-axis.
 
-Everything here is deliberately brute force: one walker visits every path
-of length <= max_n exactly once, with no memo and no path objects.  A call
-for a path shorter than max_n tallies each of its one-step extensions (U, D,
-H, and H2 where it fits) with one ``+= 1`` at its length and final height,
-and once more if it is a non-negative path back at height 0; it then
-recurses into the extensions still shorter than max_n.  So one walk counts
-every length, and no count is ever added to another.  This is the ground
-truth the fast recurrence table and the generating functions are checked
-against, so it is written to be obviously correct rather than fast, and
-refuses lengths above a configurable cap (default 14) where full
-enumeration stops being a desk-scale computation.
+Everything here is deliberately brute force: one walker enumerates every
+path of length <= max_n, with no memo.  It goes breadth first and keeps
+each path as one byte, which holds the path's final height and whether it
+has stayed non-negative; the paths of length n are one ``bytes`` object
+with a byte per path.  They are the U, D and H extensions of the paths of
+length n - 1 and the H2 extensions of those of length n - 2, each extension
+one ``bytes.translate`` through a step table.  The tallies are
+``bytes.count`` of each state over the paths themselves, so no tally is
+ever derived from the tally of a shorter length.  This is the ground truth
+the fast recurrence table and the generating functions are checked
+against, so it is written to be obviously correct rather than fast.  Its
+time and memory grow about 3.3x per unit of length, so it refuses lengths
+above a configurable cap (default 14, a walk of about 1 s that peaks at
+about 11 MB), and under any cap lengths past ``MAX_LENGTH``, whose heights
+do not fit in a byte.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 __all__ = ["DEFAULT_CAP", "count_by_height", "count_motzkin2", "walk_paths"]
 
 DEFAULT_CAP = 14
+
+# a path's byte is its height + _ZERO, plus _NONNEGATIVE while it has not
+# dipped below 0; heights within +-MAX_LENGTH keep that in 1..255
+MAX_LENGTH = 63
+_ZERO = MAX_LENGTH + 1
+_NONNEGATIVE = 0x80
+
+
+def _step_table(rise: int) -> bytes:
+    """The byte of each path after one step of this rise (states a walk
+    within MAX_LENGTH never reaches map to 0)."""
+    table = bytearray(256)
+    for flag in (0, _NONNEGATIVE):
+        for height in range(-MAX_LENGTH, MAX_LENGTH + 1):
+            after = height + rise
+            if abs(after) <= MAX_LENGTH:
+                table[height + _ZERO | flag] = after + _ZERO | (flag if after >= 0 else 0)
+    return bytes(table)
+
+
+_UP, _DOWN = _step_table(1), _step_table(-1)   # H and H2 keep every byte
+
+
+def _extensions(frontier: bytes, previous: bytes) -> Iterator[bytes]:
+    """The paths of the next length, one part at a time: the U, D and H
+    extensions of ``frontier`` and the H2 extensions of ``previous``, the
+    paths one unit shorter."""
+    yield frontier.translate(_UP)
+    yield frontier.translate(_DOWN)
+    yield frontier
+    yield previous
 
 
 def walk_paths(max_n: int, cap: int = DEFAULT_CAP) -> tuple[list[dict[int, int]], list[int]]:
@@ -32,38 +69,35 @@ def walk_paths(max_n: int, cap: int = DEFAULT_CAP) -> tuple[list[dict[int, int]]
         raise ValueError(f"length must be >= 0, got {max_n}")
     if max_n > cap:
         raise ValueError(
-            f"length {max_n} exceeds the enumeration cap {cap}; "
-            "full enumeration grows exponentially, raise the cap knowingly"
+            f"length {max_n} exceeds the enumeration cap {cap}; raise the cap "
+            "knowingly, time and memory grow about 3.3x per unit of length"
         )
-    # paths of length n at height h are tallied at by_height[n][h + n]
-    by_height = [[0] * (2 * n + 1) for n in range(max_n + 1)]
-    closed = [0] * (max_n + 1)
-    by_height[0][0] = closed[0] = 1  # the empty path
-
-    def walk(n: int, height: int, nonnegative: bool) -> None:
-        tallies, at = by_height[n + 1], height + n + 1
-        tallies[at + 1] += 1                # U
-        tallies[at - 1] += 1                # D
-        tallies[at] += 1                    # H
-        long_fits = n + 2 <= max_n
-        if long_fits:
-            by_height[n + 2][at + 1] += 1   # H2
-        # D from height 1, or H from height 0, closes a non-negative path;
-        # so does H2 from height 0
-        if nonnegative and height <= 1:
-            closed[n + 1] += 1
-            if long_fits and height == 0:
-                closed[n + 2] += 1
-        if n + 1 < max_n:
-            walk(n + 1, height + 1, nonnegative)
-            walk(n + 1, height - 1, nonnegative and height > 0)
-            walk(n + 1, height, nonnegative)
-            if n + 2 < max_n:
-                walk(n + 2, height, nonnegative)
-
-    if max_n > 0:
-        walk(0, 0, True)
-    return [{h - n: c for h, c in enumerate(row) if c} for n, row in enumerate(by_height)], closed
+    if max_n > MAX_LENGTH:
+        raise ValueError(
+            f"length {max_n} is past {MAX_LENGTH}, the longest length whose heights fit in a byte"
+        )
+    by_height, closed = [], []
+    previous, frontier = b"", bytes([_ZERO | _NONNEGATIVE])  # lengths -1 and 0
+    for n in range(max_n + 1):
+        counts, closed_count, kept = dict.fromkeys(range(-n, n + 1), 0), 0, []
+        # each part is tallied as it is made; only a level still to be
+        # extended is kept and joined, so the longest never is
+        for part in _extensions(frontier, previous) if n else (frontier,):
+            for height in counts:
+                counts[height] += part.count(height + _ZERO)
+                if height >= 0:
+                    nonnegative = part.count(height + _ZERO | _NONNEGATIVE)
+                    counts[height] += nonnegative
+                    if height == 0:
+                        closed_count += nonnegative
+            if 0 < n < max_n:
+                kept.append(part)
+            del part  # before the next part is made
+        by_height.append({h: c for h, c in counts.items() if c})
+        closed.append(closed_count)
+        if kept:
+            previous, frontier = frontier, b"".join(kept)
+    return by_height, closed
 
 
 def count_by_height(n: int, cap: int = DEFAULT_CAP) -> dict[int, int]:

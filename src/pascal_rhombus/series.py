@@ -34,11 +34,12 @@ the test suite compares coefficient by coefficient.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 __all__ = [
     "TruncatedSeries",
@@ -311,19 +312,9 @@ def motzkin2_gf(order: int, method: str = "closed_form") -> TruncatedSeries:
     raise ValueError(f"unknown method {method!r}; choose from {MOTZKIN2_METHODS}")
 
 
-def column_gfs(max_j: int, order: int, method: str = "closed_form") -> list[TruncatedSeries]:
-    """Generating functions L_0 .. L_max_j of columns 0 .. max_j of the rhombus.
-
-    Both routes must agree, and despite the rational sqrt/reciprocal
-    intermediates every coefficient is a non-negative integer.  Each route
-    builds L_0 once, then makes one product per further column:
-
-    * ``closed_form``: F^(j+1) C(F^2)^j / (x (1 - 2 F^2 C(F^2))), so
-      L_(j+1) = h L_j with h = F C(F^2),
-    * ``functional_equation``: x^j B^j / (1 - x - x^2 - 2 x^2 B), the
-      linear equation satisfied by the column generating function, so
-      L_(j+1) = x B L_j.
-    """
+def _columns(max_j: int, order: int, method: str) -> Iterator[TruncatedSeries]:
+    """L_0 .. L_max_j one at a time, holding only the running column (the
+    routes are described at :func:`column_gfs`)."""
     if max_j < 0:
         raise ValueError(f"column index must be >= 0, got {max_j}")
     if order < 1:
@@ -342,15 +333,31 @@ def column_gfs(max_j: int, order: int, method: str = "closed_form") -> list[Trun
         step = TruncatedSeries.monomial(1, order) * b
     else:
         raise ValueError(f"unknown method {method!r}; choose from {COLUMN_METHODS}")
-    columns = [column]
+    yield column
     for _ in range(max_j):
         column = column * step
-        columns.append(column)
-    return columns
+        yield column
+
+
+def column_gfs(max_j: int, order: int, method: str = "closed_form") -> list[TruncatedSeries]:
+    """Generating functions L_0 .. L_max_j of columns 0 .. max_j of the rhombus.
+
+    Both routes must agree, and despite the rational sqrt/reciprocal
+    intermediates every coefficient is a non-negative integer.  Each route
+    builds L_0 once, then makes one product per further column:
+
+    * ``closed_form``: F^(j+1) C(F^2)^j / (x (1 - 2 F^2 C(F^2))), so
+      L_(j+1) = h L_j with h = F C(F^2),
+    * ``functional_equation``: x^j B^j / (1 - x - x^2 - 2 x^2 B), the
+      linear equation satisfied by the column generating function, so
+      L_(j+1) = x B L_j.
+    """
+    return list(_columns(max_j, order, method))
 
 
 def column_gf(j: int, order: int, method: str = "closed_form") -> TruncatedSeries:
-    """Generating function L_j of column j >= 0, the last of :func:`column_gfs`.
+    """Generating function L_j of column j >= 0, the last of :func:`column_gfs`
+    built without keeping the columns before it.
 
     L_j has valuation j, so from j = order on it is the zero series."""
-    return column_gfs(min(j, order), order, method)[-1]
+    return deque(_columns(min(j, order), order, method), maxlen=1).pop()

@@ -274,7 +274,8 @@ def test_internal_failure_exits_1(capsys, monkeypatch):
 
 
 def test_recursion_limit_is_an_internal_error(capsys):
-    # the oracle walker recurses once per step, past the default limit of 1000
+    # a raised --oracle-cap does not lift the walker's byte range: heights
+    # past +-63 are refused at once with a ValueError, an internal failure
     code, out, err = run_cli(
         capsys, "entry", "1200", "0", "--method", "oracle", "--oracle-cap", "1200"
     )
@@ -282,6 +283,18 @@ def test_recursion_limit_is_an_internal_error(capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: internal:")
+
+
+def test_recursion_error_exits_1(capsys, monkeypatch):
+    # no route recurses deeply, but a RecursionError is still an internal failure
+    def too_deep(n, cap):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "count_by_height", too_deep)
+    code, out, err = run_cli(capsys, "entry", "5", "0", "--method", "oracle")
+    assert code == 1
+    assert out == ""
+    assert err.strip() == "error: internal: maximum recursion depth exceeded"
 
 
 def test_bad_flag_exits_2():

@@ -14,6 +14,7 @@ from pascal_rhombus import (
     motzkin2_gf,
     walk_paths,
 )
+from pascal_rhombus import paths
 
 MOTZKIN_NUMBERS = [1, 1, 2, 4, 9, 21, 51]        # A001006
 GRAND_MOTZKIN_NUMBERS = [1, 1, 3, 7, 19, 51]     # A002426
@@ -208,9 +209,9 @@ def test_walk_tallies_each_path_once():
     # a path of length n >= 2 starts with U, D or H before a path of length
     # n - 1, or with H2 before one of length n - 2
     totals = [1, 3]
-    while len(totals) < 13:
+    while len(totals) <= DEFAULT_CAP:
         totals.append(3 * totals[-1] + totals[-2])
-    by_height, _ = walk_paths(12)
+    by_height, _ = walk_paths(DEFAULT_CAP)
     assert [sum(counts.values()) for counts in by_height] == totals
 
 
@@ -219,3 +220,15 @@ def test_walk_rejects_bad_lengths():
         walk_paths(-1)
     with pytest.raises(ValueError, match="cap"):
         walk_paths(DEFAULT_CAP + 1)
+
+
+def test_walk_refuses_heights_past_a_byte_at_once(monkeypatch):
+    # a raised cap does not lift the byte range; the refusal comes before
+    # the walk, whose frontier would need about 3.3^n bytes
+    def no_walk(frontier, previous):
+        raise AssertionError("walked before refusing")
+
+    monkeypatch.setattr(paths, "_extensions", no_walk)
+    too_long = paths.MAX_LENGTH + 1
+    with pytest.raises(ValueError, match=f"past {paths.MAX_LENGTH}"):
+        walk_paths(too_long, cap=too_long)
