@@ -5,10 +5,15 @@ and ``column`` (sequences streamed from the recurrence), ``series`` (raw
 coefficients of the named generating functions F, C, B, L<j>) and ``check``
 (the one-shot cross-method verification report).
 
+Each route, and each command that builds series, is capped by one flag whose
+default comes from ``REACH``; a request past its cap is refused before any
+work (``entry --method all`` skips that route with a note on stderr).  Only
+the sweep of ``check --max-i`` has no cap.
+
 Values go to stdout as exact decimal strings, diagnostics go to stderr.
 Exit codes: 0 all good (also when the reader closes the pipe early),
 1 mathematical disagreement, failed check or internal invariant failure,
-2 usage error.
+2 usage error, a request past its reach included.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Callable, Sequence, TextIO
 
 from .checks import first_disagreement, run_all
 from .closedforms import entry_convolved, entry_triple_sum
-from .paths import DEFAULT_CAP, count_by_height
+from .paths import DEFAULT_CAP, MAX_LENGTH, count_by_height
 from .rhombus import iter_rows
 from .series import catalan_gf, column_gf, fibonacci_gf, motzkin2_gf
 
@@ -32,27 +37,13 @@ EXIT_OK = 0
 EXIT_DISAGREEMENT = 1
 EXIT_USAGE = 2
 
-# the largest series --order a command accepts unless --max-order is raised:
-# at these orders one request takes about 4-8 s (series L<j>, entry --method
-# series; L<j> costs more the closer j is to the order), 5 s (series B or C;
-# F is far cheaper) or 1 s (check, which builds each column route once) on
-# CPython 3.11, x86-64, and the cost grows faster than the cube of the order
-MAX_ORDER = 400
-SERIES_MAX_ORDER = 1500
-CHECK_MAX_ORDER = 150
-# the deepest row that row, column and entry --method recurrence compute
-# unless --max-depth is raised: row 3000 takes about 4 s there, and the cost
-# grows faster than the cube of the depth (row 4000 takes 13 s)
-MAX_DEPTH = 3000
-
-
 class UsageError(Exception):
     pass
 
 
 class OutOfReach(UsageError):
-    """A route cannot reach the requested entry within its --order, --oracle-cap
-    or --max-depth."""
+    """A request is past the reach of its route or command: its cap in REACH,
+    or for the series method its --order."""
 
 
 def _say(text: str, stream: TextIO) -> None:
@@ -75,22 +66,6 @@ def _emit_sequence(values: list[int], fmt: str) -> str:
     return ",".join(str(v) for v in values)
 
 
-def _require_max_order(order: int, max_order: int) -> None:
-    if order > max_order:
-        raise UsageError(
-            f"--order {order} is above --max-order {max_order}; "
-            "raise the cap knowingly, the cost grows faster than the cube of the order"
-        )
-
-
-def _require_max_depth(depth: int, args: argparse.Namespace) -> None:
-    if depth > args.max_depth:
-        raise OutOfReach(
-            f"row {depth} is past --max-depth {args.max_depth}; "
-            "raise the cap knowingly, the cost grows faster than the cube of the depth"
-        )
-
-
 def _series_route(i: int, j: int, args: argparse.Namespace) -> int:
     if i >= args.order:
         raise OutOfReach(
@@ -99,56 +74,97 @@ def _series_route(i: int, j: int, args: argparse.Namespace) -> int:
     return column_gf(abs(j), args.order).integer_coefficients()[i]
 
 
-def _oracle_route(i: int, j: int, args: argparse.Namespace) -> int:
-    if i > args.oracle_cap:
-        raise OutOfReach(
-            f"length {i} is past --oracle-cap {args.oracle_cap}; raise the cap "
-            "knowingly, time and memory grow about 3.3x per unit of length"
-        )
-    return count_by_height(i, cap=args.oracle_cap).get(j, 0)
-
-
 def _last_row(i: int) -> list[int]:
     for row in iter_rows(i):
         pass
     return row
 
 
-def _recurrence_route(i: int, j: int, args: argparse.Namespace) -> int:
-    _require_max_depth(i, args)
-    return _last_row(i)[j + i] if abs(j) <= i else 0
-
-
 # the routes look the functions they call up by name at call time, so a
 # rebound module attribute (a test's fake, a tracer's wrapper) is honoured
 ROUTES: dict[str, Callable[[int, int, argparse.Namespace], int]] = {
-    "recurrence": _recurrence_route,
+    "recurrence": lambda i, j, args: _last_row(i)[j + i] if abs(j) <= i else 0,
     "triple_sum": lambda i, j, args: entry_triple_sum(i, j),
     "convolved": lambda i, j, args: entry_convolved(i, j),
     "series": _series_route,
-    "oracle": _oracle_route,
+    "oracle": lambda i, j, args: count_by_height(i, cap=_cap("oracle", args)).get(j, 0),
 }
+
+# The reach of each route, and of each command that builds series: the flag
+# that caps it and that flag's default.  A route's row, keyed by its method,
+# caps the row index (row and column read the recurrence's).  At a default
+# one request takes about 4-6 s on CPython 3.11, 2-CPU x86-64 (row 3000,
+# entry 1200 0 --method triple_sum, entry 350 0 --method convolved, series L1
+# --order 400, series B --order 1500; series L399 --order 400 about 8 s), and
+# check and the oracle's walk about 1 s.
+REACH: dict[str, tuple[str, int]] = {
+    "recurrence": ("--max-depth", 3000),
+    "triple_sum": ("--max-depth", 1200),
+    "convolved": ("--max-depth", 350),
+    "oracle": ("--oracle-cap", DEFAULT_CAP),
+    "series L<j>": ("--max-order", 400),
+    "series F, C, B": ("--max-order", 1500),
+    "check": ("--max-order", 150),
+}
+# each cap flag: how its refusal names the request, and how the cost grows
+_CAPS = {
+    "--max-depth": ("row {} is past", "the cost grows faster than the cube of the depth"),
+    "--max-order": ("--order {} is above", "the cost grows faster than the cube of the order"),
+    "--oracle-cap": ("length {} is past", "time and memory grow about 3.3x per unit of length"),
+}
+
+
+def _cap(name: str, args: argparse.Namespace) -> int:
+    """The cap on ``name``: its flag as given, else the flag's default in REACH."""
+    flag, default = REACH[name]
+    given = getattr(args, flag[2:].replace("-", "_"))
+    return default if given is None else given
+
+
+def _reach(name: str, need: int, args: argparse.Namespace) -> None:
+    """Refuse a request that needs more than the cap on ``name``."""
+    cap = _cap(name, args)
+    if need > cap:
+        flag = REACH[name][0]
+        request, growth = _CAPS[flag]
+        raise OutOfReach(f"{request.format(need)} {flag} {cap}; raise the cap knowingly, {growth}")
+
+
+def _in_range(name: str, value: int, low: int, high: int | None = None) -> int:
+    if value < low or high is not None and value > high:
+        allowed = f">= {low}" if high is None else f"{low} to {high}"
+        raise UsageError(f"{name} must be {allowed}, got {value}")
+    return value
+
+
+def _answer(method: str, i: int, j: int, args: argparse.Namespace) -> int:
+    """One route's value, refused past its row in REACH (the series method
+    has none: its reach is --order)."""
+    if method in REACH:
+        _reach(method, i, args)
+    return ROUTES[method](i, j, args)
 
 
 def _cmd_entry(args: argparse.Namespace) -> tuple[int, str]:
     i, j = args.i, args.j
-    if i < 0:
-        raise UsageError(f"row index must be >= 0, got {i}")
-    if args.order < 1:
-        raise UsageError(f"--order must be >= 1, got {args.order}")
+    _in_range("row index", i, 0)
+    _in_range("--order", args.order, 1)
     if args.method in ("series", "all"):
-        _require_max_order(args.order, args.max_order)
-    if args.oracle_cap < 0:
-        raise UsageError(f"--oracle-cap must be >= 0, got {args.oracle_cap}")
+        _reach("series L<j>", args.order, args)
+    # one byte per path holds heights within +-MAX_LENGTH only, so the walker
+    # refuses a longer length under any cap
+    _in_range("--oracle-cap", _cap("oracle", args), 0, MAX_LENGTH)
     if args.method != "all":
-        return EXIT_OK, str(ROUTES[args.method](i, j, args))
+        return EXIT_OK, str(_answer(args.method, i, j, args))
 
     values: dict[str, int] = {}
-    for method, route in ROUTES.items():
+    for method in ROUTES:
         try:
-            values[method] = route(i, j, args)
+            values[method] = _answer(method, i, j, args)
         except OutOfReach as exc:
             _say(f"skipping {method} method ({exc})", sys.stderr)
+    if not values:
+        raise UsageError(f"every method is past its reach at (i={i}, j={j})")
 
     detail = first_disagreement([(f"(i={i}, j={j})", values)])
     if detail:
@@ -159,33 +175,27 @@ def _cmd_entry(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_row(args: argparse.Namespace) -> tuple[int, str]:
-    if args.i < 0:
-        raise UsageError(f"row index must be >= 0, got {args.i}")
-    _require_max_depth(args.i, args)
+    _in_range("row index", args.i, 0)
+    _reach("recurrence", args.i, args)
     return EXIT_OK, _emit_sequence(_last_row(args.i), args.format)
 
 
 def _cmd_column(args: argparse.Namespace) -> tuple[int, str]:
-    if args.terms < 1:
-        raise UsageError(f"--terms must be >= 1, got {args.terms}")
+    _in_range("--terms", args.terms, 1)
     j = args.j
     depth = abs(j) + args.terms - 1
-    _require_max_depth(depth, args)
+    _reach("recurrence", depth, args)
     rows = enumerate(iter_rows(depth))
     return EXIT_OK, _emit_sequence([row[j + i] for i, row in rows if i >= abs(j)], args.format)
 
 
 def _cmd_series(args: argparse.Namespace) -> tuple[int, str]:
-    if args.order < 1:
-        raise UsageError(f"--order must be >= 1, got {args.order}")
+    _in_range("--order", args.order, 1)
     name = args.name
     column = re.fullmatch(r"L(-?\d+)", name)
     if name not in ("F", "C", "B") and not column:
         raise UsageError(f"unknown series {name!r}; expected F, C, B or L<j>")
-    max_order = args.max_order
-    if max_order is None:
-        max_order = MAX_ORDER if column else SERIES_MAX_ORDER
-    _require_max_order(args.order, max_order)
+    _reach("series L<j>" if column else "series F, C, B", args.order, args)
     if column:
         s = column_gf(abs(int(column.group(1))), args.order)
     else:
@@ -194,22 +204,18 @@ def _cmd_series(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[int, str]:
-    if args.max_i < 1:
-        raise UsageError(f"--max-i must be >= 1, got {args.max_i}")
-    if args.order < 1:
-        raise UsageError(f"--order must be >= 1, got {args.order}")
-    _require_max_order(args.order, args.max_order)
-    if args.max_oracle_n < 0:
-        raise UsageError(f"--max-oracle-n must be >= 0, got {args.max_oracle_n}")
-    if args.oracle_cap < args.max_oracle_n:
-        raise UsageError(
-            f"--oracle-cap {args.oracle_cap} is below --max-oracle-n {args.max_oracle_n}"
-        )
+    _in_range("--max-i", args.max_i, 1)
+    _in_range("--order", args.order, 1)
+    _reach("check", args.order, args)
+    _in_range("--max-oracle-n", args.max_oracle_n, 0)
+    oracle_cap = _in_range("--oracle-cap", _cap("oracle", args), 0, MAX_LENGTH)
+    if oracle_cap < args.max_oracle_n:
+        raise UsageError(f"--oracle-cap {oracle_cap} is below --max-oracle-n {args.max_oracle_n}")
     results = run_all(
         max_i=args.max_i,
         max_oracle_n=args.max_oracle_n,
         series_order=args.order,
-        oracle_cap=args.oracle_cap,
+        oracle_cap=oracle_cap,
     )
     lines = [f"{r.status:7s} {r.name}" + (f": {r.detail}" if r.detail else "") for r in results]
     failed = [r for r in results if not r.skipped and not r.passed]
@@ -226,21 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=FORMATS, default="plain")
 
-    def add_max_order(p: argparse.ArgumentParser, default: int | None, shown: str = "") -> None:
-        p.add_argument("--max-order", type=int, default=default,
-                       help=f"refuse a larger --order (default {shown or default}); "
-                            "the cost grows steeply with the order")
-
-    def add_oracle_cap(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--oracle-cap", type=int, default=DEFAULT_CAP,
-                       help=f"refuse exhaustive enumeration beyond this length (default "
-                            f"{DEFAULT_CAP}, about 1 s and 11 MB); past it time and memory "
-                            "grow about 3.3x per unit of length")
-
-    def add_max_depth(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--max-depth", type=int, default=MAX_DEPTH,
-                       help="refuse to compute rows past this one; "
-                            "the cost grows steeply with the depth")
+    def add_cap(p: argparse.ArgumentParser, *names: str) -> None:
+        flag = REACH[names[0]][0]
+        defaults = ", ".join(f"{REACH[name][1]} for {name}" for name in names)
+        p.add_argument(flag, type=int, help=f"refuse a request past this cap (default "
+                                            f"{defaults}); past it {_CAPS[flag][1]}")
 
     p_entry = sub.add_parser("entry", help="one entry r[i][j]")
     p_entry.add_argument("i", type=int)
@@ -248,29 +244,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_entry.add_argument("--method", choices=(*ROUTES, "all"), default="recurrence")
     p_entry.add_argument("--order", type=int, default=30,
                          help="series truncation order for the series method")
-    add_max_order(p_entry, MAX_ORDER)
-    add_max_depth(p_entry)
-    add_oracle_cap(p_entry)
+    add_cap(p_entry, "series L<j>")
+    add_cap(p_entry, "recurrence", "triple_sum", "convolved")
+    add_cap(p_entry, "oracle")
     add_format(p_entry)
     p_entry.set_defaults(func=_cmd_entry)
 
     p_row = sub.add_parser("row", help="one full row of the table")
     p_row.add_argument("i", type=int)
-    add_max_depth(p_row)
+    add_cap(p_row, "recurrence")
     add_format(p_row)
     p_row.set_defaults(func=_cmd_row)
 
     p_col = sub.add_parser("column", help="a column of the table, top down")
     p_col.add_argument("j", type=int)
     p_col.add_argument("--terms", type=int, default=10)
-    add_max_depth(p_col)
+    add_cap(p_col, "recurrence")
     add_format(p_col)
     p_col.set_defaults(func=_cmd_column)
 
     p_series = sub.add_parser("series", help="coefficients of F, C, B or L<j>")
     p_series.add_argument("name")
     p_series.add_argument("--order", type=int, default=30)
-    add_max_order(p_series, None, f"{MAX_ORDER} for L<j>, {SERIES_MAX_ORDER} for F, C and B")
+    add_cap(p_series, "series L<j>", "series F, C, B")
     add_format(p_series)
     p_series.set_defaults(func=_cmd_series)
 
@@ -278,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--max-i", type=int, default=40)
     p_check.add_argument("--max-oracle-n", type=int, default=12)
     p_check.add_argument("--order", type=int, default=30)
-    add_max_order(p_check, CHECK_MAX_ORDER)
-    add_oracle_cap(p_check)
+    add_cap(p_check, "check")
+    add_cap(p_check, "oracle")
     p_check.set_defaults(func=_cmd_check)
 
     return parser

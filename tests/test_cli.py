@@ -9,13 +9,22 @@ import tracemalloc
 
 import pytest
 
-from pascal_rhombus import cli
+from pascal_rhombus import cli, entry_triple_sum
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cap(name):
+    """The default cap of a row of the CLI's reach table."""
+    return cli.REACH[name][1]
+
+
+def never(*args, **kwargs):
+    raise AssertionError("computed past the cap")
 
 
 def test_entry_recurrence(capsys):
@@ -168,6 +177,8 @@ def test_entry_negative_row_is_usage_error(capsys):
     ["entry", "3", "0", "--oracle-cap", "-1"],
     ["check", "--oracle-cap", "5"],
     ["check", "--max-oracle-n", "0", "--oracle-cap", "-1"],
+    ["entry", "64", "0", "--method", "all", "--oracle-cap", "64", "--order", "70"],
+    ["check", "--max-oracle-n", "64", "--oracle-cap", "64"],
 ])
 def test_out_of_range_bounds_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -176,27 +187,24 @@ def test_out_of_range_bounds_are_usage_errors(capsys, argv):
     assert err.startswith("error: --")
 
 
-@pytest.mark.parametrize("argv, order, cap", [
-    (["series", "L1"], cli.MAX_ORDER + 1, cli.MAX_ORDER),
-    (["series", "L1"], 10**6, cli.MAX_ORDER),
-    (["entry", "3", "0", "--method", "series"], cli.MAX_ORDER + 1, cli.MAX_ORDER),
-    (["entry", "3", "0", "--method", "all"], cli.MAX_ORDER + 1, cli.MAX_ORDER),
-    (["check"], cli.CHECK_MAX_ORDER + 1, cli.CHECK_MAX_ORDER),
-    (["series", "B"], cli.SERIES_MAX_ORDER + 1, cli.SERIES_MAX_ORDER),
-    (["series", "C"], 10**5, cli.SERIES_MAX_ORDER),
-    (["series", "F"], cli.SERIES_MAX_ORDER + 1, cli.SERIES_MAX_ORDER),
+@pytest.mark.parametrize("argv, order, row", [
+    (["series", "L1"], cap("series L<j>") + 1, "series L<j>"),
+    (["series", "L1"], 10**6, "series L<j>"),
+    (["entry", "3", "0", "--method", "series"], cap("series L<j>") + 1, "series L<j>"),
+    (["entry", "3", "0", "--method", "all"], cap("series L<j>") + 1, "series L<j>"),
+    (["check"], cap("check") + 1, "check"),
+    (["series", "B"], cap("series F, C, B") + 1, "series F, C, B"),
+    (["series", "C"], 10**5, "series F, C, B"),
+    (["series", "F"], cap("series F, C, B") + 1, "series F, C, B"),
 ], ids=["series", "series-1e6", "entry-series", "entry-all", "check", "series-B", "series-C-1e5",
         "series-F"])
-def test_order_above_the_cap_is_refused_at_once(capsys, monkeypatch, argv, order, cap):
-    def never(*args, **kwargs):
-        raise AssertionError("built a series past the cap")
-
+def test_order_above_the_cap_is_refused_at_once(capsys, monkeypatch, argv, order, row):
     for name in ("column_gf", "run_all", "fibonacci_gf", "catalan_gf", "motzkin2_gf"):
         monkeypatch.setattr(cli, name, never)
     code, out, err = run_cli(capsys, *argv, "--order", str(order))
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: --order {order} is above --max-order {cap};")
+    assert err.startswith(f"error: --order {order} is above --max-order {cap(row)};")
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -210,7 +218,7 @@ def test_order_above_the_cap_is_refused_at_once(capsys, monkeypatch, argv, order
 def test_the_cap_leaves_other_series_and_routes_alone(capsys, argv, expected):
     # the column series cap does not reach F, C and B, which have their own
     # higher cap, and the other entry routes never read --order
-    code, out, _ = run_cli(capsys, *argv, "--order", str(cli.MAX_ORDER + 1))
+    code, out, _ = run_cli(capsys, *argv, "--order", str(cap("series L<j>") + 1))
     assert code == 0
     assert out.startswith(expected)
 
@@ -230,36 +238,67 @@ def test_max_order_moves_the_cap(capsys):
     assert "--max-order 6" in err
 
 
-@pytest.mark.parametrize("argv, depth", [
-    (["row", str(cli.MAX_DEPTH + 1)], cli.MAX_DEPTH + 1),
-    (["row", "1000000000"], 10**9),
-    (["column", "-3", "--terms", str(cli.MAX_DEPTH - 1)], cli.MAX_DEPTH + 1),
-    (["entry", str(cli.MAX_DEPTH + 1), "0"], cli.MAX_DEPTH + 1),
-    (["entry", "20000", "-7", "--method", "recurrence"], 20000),
-], ids=["row", "row-1e9", "column", "entry", "entry-recurrence"])
-def test_depth_above_the_cap_is_refused_at_once(capsys, monkeypatch, argv, depth):
-    def never(*args, **kwargs):
-        raise AssertionError("computed a row past the cap")
-
-    monkeypatch.setattr(cli, "iter_rows", never)
+@pytest.mark.parametrize("argv, depth, row", [
+    (["row", str(cap("recurrence") + 1)], cap("recurrence") + 1, "recurrence"),
+    (["row", "1000000000"], 10**9, "recurrence"),
+    (["column", "-3", "--terms", str(cap("recurrence") - 1)], cap("recurrence") + 1, "recurrence"),
+    (["entry", str(cap("recurrence") + 1), "0"], cap("recurrence") + 1, "recurrence"),
+    (["entry", "20000", "-7", "--method", "recurrence"], 20000, "recurrence"),
+    (["entry", str(cap("triple_sum") + 1), "2", "--method", "triple_sum"], cap("triple_sum") + 1,
+     "triple_sum"),
+    (["entry", "1000000000", "-3", "--method", "triple_sum"], 10**9, "triple_sum"),
+    (["entry", str(cap("convolved") + 1), "2", "--method", "convolved"], cap("convolved") + 1,
+     "convolved"),
+    (["entry", "5000", "0", "--method", "convolved"], 5000, "convolved"),
+], ids=["row", "row-1e9", "column", "entry", "entry-recurrence", "entry-triple_sum",
+        "entry-triple_sum-1e9", "entry-convolved", "entry-convolved-5000"])
+def test_depth_above_the_cap_is_refused_at_once(capsys, monkeypatch, argv, depth, row):
+    for name in ("iter_rows", "entry_triple_sum", "entry_convolved"):
+        monkeypatch.setattr(cli, name, never)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: row {depth} is past --max-depth {cli.MAX_DEPTH};")
+    assert err.startswith(f"error: row {depth} is past --max-depth {cap(row)};")
 
 
-def test_max_depth_moves_the_cap(capsys):
+def test_entry_all_past_every_reach_is_a_usage_error(capsys, monkeypatch):
+    for name in ("iter_rows", "entry_triple_sum", "entry_convolved", "column_gf",
+                 "count_by_height"):
+        monkeypatch.setattr(cli, name, never)
+    code, out, err = run_cli(capsys, "entry", "5000", "2", "--method", "all")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert [line.split(" (")[0] for line in lines[:-1]] == [
+        f"skipping {method} method" for method in cli.ROUTES
+    ]
+    assert lines[-1] == "error: every method is past its reach at (i=5000, j=2)"
+
+
+def test_max_depth_moves_the_cap(capsys, monkeypatch):
     assert run_cli(capsys, "row", "3", "--max-depth", "3")[:2] == (0, "1,3,8,9,8,3,1\n")
     assert run_cli(capsys, "column", "1", "--terms", "3", "--max-depth", "3")[:2] == (0, "1,2,8\n")
     code, _, err = run_cli(capsys, "column", "1", "--terms", "4", "--max-depth", "3")
     assert code == 2
     assert "row 4 is past --max-depth 3" in err
-    # entry --method all skips the recurrence past the cap, as it skips the
-    # series past --order and the oracle past --oracle-cap
+    # an explicit --max-depth caps all three row-index routes, and entry
+    # --method all skips them past it, as it skips the series past --order
+    # and the oracle past --oracle-cap
     code, out, err = run_cli(capsys, "entry", "4", "2", "--method", "all", "--max-depth", "3")
     assert code == 0
-    assert out.split() == ["13"] * 4
+    assert out.split() == ["13"] * 2
     assert err.startswith("skipping recurrence method (row 4 is past --max-depth 3;")
+    assert "skipping triple_sum method (row 4" in err and "skipping convolved method (row 4" in err
+    # and an explicit --max-depth answers past a route's default; the defaults
+    # sit where one request takes seconds, so each is lowered to 40 here
+    for method in ("recurrence", "triple_sum", "convolved"):
+        monkeypatch.setitem(cli.REACH, method, ("--max-depth", 40))
+        argv = ["entry", "45", "2", "--method", method]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: row 45 is past --max-depth 40;")
+        expected = (0, f"{entry_triple_sum(45, 2)}\n")
+        assert run_cli(capsys, *argv, "--max-depth", "45")[:2] == expected
 
 
 def test_internal_failure_exits_1(capsys, monkeypatch):
@@ -273,16 +312,16 @@ def test_internal_failure_exits_1(capsys, monkeypatch):
     assert err.strip() == "error: internal: invariant violated"
 
 
-def test_recursion_limit_is_an_internal_error(capsys):
-    # a raised --oracle-cap does not lift the walker's byte range: heights
-    # past +-63 are refused at once with a ValueError, an internal failure
+def test_oracle_cap_past_the_byte_range_is_a_usage_error(capsys, monkeypatch):
+    # one byte per path holds heights within +-63 only, so no --oracle-cap
+    # above 63 can be served; it is refused before the walk
+    monkeypatch.setattr(cli, "count_by_height", never)
     code, out, err = run_cli(
         capsys, "entry", "1200", "0", "--method", "oracle", "--oracle-cap", "1200"
     )
-    assert code == 1
+    assert code == 2
     assert out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error: internal:")
+    assert err == "error: --oracle-cap must be 0 to 63, got 1200\n"
 
 
 def test_recursion_error_exits_1(capsys, monkeypatch):

@@ -182,11 +182,16 @@ def _argv(*parts):
     return st.tuples(*parts).map(lambda lists: sum(lists, []))
 
 
+def past_reach(*names):
+    """Values past the default cap of every named row of the CLI's reach table."""
+    return st.integers(max(cli.REACH[name][1] for name in names) + 1, 10**9)
+
+
 # sizes stay small where no cap guards the cost; huge values go only where
 # --max-order, --max-depth, --oracle-cap or --order turns them away before
 # any work
 SMALL = st.integers(-3, 60)
-PAST_MAX_DEPTH = st.integers(cli.MAX_DEPTH + 1, 10**9)
+PAST_MAX_DEPTH = past_reach("recurrence")
 SMALL_ORDER = st.integers(-2, 20)
 FORMAT = _opt("--format", st.sampled_from(cli.FORMATS))
 ORACLE_CAP = _opt("--oracle-cap", st.integers(-2, 8))
@@ -195,12 +200,14 @@ ORACLE_CAP = _opt("--oracle-cap", st.integers(-2, 8))
 @st.composite
 def entry_argv(draw):
     method = draw(st.sampled_from([*cli.ROUTES, "all"]))
-    # past --order, --oracle-cap or --max-depth where the route is capped
+    # past --order, --oracle-cap or --max-depth, for all past every route
     past = {"series": st.integers(61, 10**9), "oracle": st.integers(61, 10**9),
-            "recurrence": PAST_MAX_DEPTH}
-    i = draw(SMALL | past[method] if method in past else SMALL)
+            "recurrence": PAST_MAX_DEPTH, "triple_sum": past_reach("triple_sum"),
+            "convolved": past_reach("convolved"),
+            "all": past_reach("recurrence", "triple_sum", "convolved")}
+    i = draw(SMALL | past[method])
     capped = method in ("series", "all")
-    order = draw(SMALL_ORDER | st.integers(cli.MAX_ORDER + 1, 10**9) if capped else SMALL)
+    order = draw(SMALL_ORDER | past_reach("series L<j>") if capped else SMALL)
     return ["entry", str(i), str(draw(st.integers(-70, 70))), "--method", method,
             "--order", str(order), *draw(ORACLE_CAP), *draw(FORMAT)]
 
@@ -210,8 +217,7 @@ def series_argv(draw):
     name = draw(st.sampled_from(["F", "C", "B", "L", "X", "Lx"])
                 | (SMALL | st.integers(61, 10**18)).map(lambda j: f"L{j}"))
     column = re.fullmatch(r"L-?\d+", name)
-    cap = cli.MAX_ORDER if column else cli.SERIES_MAX_ORDER
-    order = draw(SMALL_ORDER | st.integers(cap + 1, 10**9))
+    order = draw(SMALL_ORDER | past_reach("series L<j>" if column else "series F, C, B"))
     return ["series", name, "--order", str(order), *draw(FORMAT)]
 
 
@@ -234,7 +240,7 @@ ARGV = st.one_of(
     _argv(
         st.just(["check"]),
         _opt("--max-i", st.integers(-2, 10)),
-        _opt("--order", SMALL_ORDER | st.integers(cli.CHECK_MAX_ORDER + 1, 10**9)),
+        _opt("--order", SMALL_ORDER | past_reach("check")),
         _opt("--max-oracle-n", st.integers(-2, 6)),
         ORACLE_CAP,
     ),
