@@ -22,7 +22,7 @@ from .closedforms import (
     entry_convolved,
     entry_triple_sum,
 )
-from .paths import DEFAULT_CAP, count_by_height, count_motzkin2, walk_paths
+from .paths import count_by_height, count_motzkin2, walk_paths
 from .rhombus import RhombusTable, build_table, iter_rows
 from .series import (
     TruncatedSeries,
@@ -51,7 +51,6 @@ __all__ = [
     "convolved_fib_series",
     "convolved_fib_gould",
     "convolved_fib_product",
-    "DEFAULT_CAP",
     "count_by_height",
     "count_motzkin2",
     "walk_paths",

@@ -10,7 +10,9 @@ Each suite looks its routes up by name in this module, so a test proves that
 the checks bite by monkeypatching one name here (``build_table``,
 ``column_gfs``, ...) with a corrupted version.  :func:`run_all` builds each
 column route's L_0 .. L_6 once for the three suites that read columns; a
-suite called without them builds its own.
+suite called without them builds its own.  The suites run to the bounds
+they are given and take no caps: how far a request may run is the CLI's
+policy.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .closedforms import (
     entry_convolved,
     entry_triple_sum,
 )
-from .paths import DEFAULT_CAP, walk_paths
+from .paths import walk_paths
 from .rhombus import build_table
 from .series import (
     COLUMN_METHODS, MOTZKIN2_METHODS, TruncatedSeries, catalan_gf, column_gfs, motzkin2_gf,
@@ -67,8 +69,12 @@ class CheckResult:
 
 def first_disagreement(points: Points) -> str | None:
     """``None`` if at every ``(where, {route: value})`` point all routes give
-    the same value, else ``first disagreement at <where>: r1=v1, r2=v2, ...``."""
+    the same value, else ``first disagreement at <where>: r1=v1, r2=v2, ...``.
+    A point with no values is a broken suite, not a disagreement: it raises
+    ``ValueError``."""
     for where, values in points:
+        if not values:
+            raise ValueError(f"no route gave a value at {where}")
         if len(set(values.values())) != 1:
             listed = ", ".join(f"{route}={value}" for route, value in values.items())
             return f"first disagreement at {where}: {listed}"
@@ -114,7 +120,7 @@ def check_method_agreement(max_i: int = 40, series_order: int = 30,
     return _agreement(name, points())
 
 
-def check_oracle_agreement(max_n: int = 12, oracle_cap: int = DEFAULT_CAP) -> CheckResult:
+def check_oracle_agreement(max_n: int = 12) -> CheckResult:
     """Exhaustive path counts equal table entries (all heights, n <= max_n)
     and the closed-path counts equal the motzkin2 series coefficients."""
     if max_n < 0:
@@ -124,7 +130,7 @@ def check_oracle_agreement(max_n: int = 12, oracle_cap: int = DEFAULT_CAP) -> Ch
         return CheckResult(name, True, "max_n is 0", skipped=True)
     table = build_table(max_n)
     b = motzkin2_gf(max_n + 1).coeffs
-    by_height, closed = walk_paths(max_n, cap=oracle_cap)
+    by_height, closed = walk_paths(max_n)
 
     def points():
         for n in range(max_n + 1):
@@ -238,14 +244,13 @@ def run_all(
     max_i: int = 40,
     max_oracle_n: int = 12,
     series_order: int = 30,
-    oracle_cap: int = DEFAULT_CAP,
 ) -> list[CheckResult]:
     """Run every suite; the CLI's one-shot consistency check."""
     # L_0 .. L_6 is the most any suite reads
     columns = {method: column_gfs(6, series_order, method) for method in COLUMN_METHODS}
     return [
         check_method_agreement(max_i, series_order, columns["closed_form"]),
-        check_oracle_agreement(max_oracle_n, oracle_cap),
+        check_oracle_agreement(max_oracle_n),
         check_motzkin2_routes(series_order),
         check_column_functional_equation(series_order, columns),
         check_column_routes(series_order, columns),

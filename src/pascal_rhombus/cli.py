@@ -7,8 +7,9 @@ coefficients of the named generating functions F, C, B, L<j>) and ``check``
 
 Each route, and each command that builds series, is capped by one flag whose
 default comes from ``REACH``; a request past its cap is refused before any
-work (``entry --method all`` skips that route with a note on stderr).  Only
-the sweep of ``check --max-i`` has no cap.
+work (``entry --method all`` skips that route with a note on stderr).  The
+caps are this module's policy: the library routes take none.  Only the
+sweep of ``check --max-i`` has no cap.
 
 Values go to stdout as exact decimal strings, diagnostics go to stderr.
 Exit codes: 0 all good (also when the reader closes the pipe early),
@@ -27,7 +28,7 @@ from typing import Callable, Sequence, TextIO
 
 from .checks import first_disagreement, run_all
 from .closedforms import entry_convolved, entry_triple_sum
-from .paths import DEFAULT_CAP, MAX_LENGTH, count_by_height
+from .paths import MAX_LENGTH, count_by_height
 from .rhombus import iter_rows
 from .series import catalan_gf, column_gf, fibonacci_gf, motzkin2_gf
 
@@ -42,8 +43,7 @@ class UsageError(Exception):
 
 
 class OutOfReach(UsageError):
-    """A request is past the reach of its route or command: its cap in REACH,
-    or for the series method its --order."""
+    """A request is past the reach of its route or command, its cap in REACH."""
 
 
 def _say(text: str, stream: TextIO) -> None:
@@ -66,14 +66,6 @@ def _emit_sequence(values: list[int], fmt: str) -> str:
     return ",".join(str(v) for v in values)
 
 
-def _series_route(i: int, j: int, args: argparse.Namespace) -> int:
-    if i >= args.order:
-        raise OutOfReach(
-            f"index {i} is past --order {args.order}; raise --order to at least {i + 1}"
-        )
-    return column_gf(abs(j), args.order).integer_coefficients()[i]
-
-
 def _last_row(i: int) -> list[int]:
     for row in iter_rows(i):
         pass
@@ -82,17 +74,19 @@ def _last_row(i: int) -> list[int]:
 
 # the routes look the functions they call up by name at call time, so a
 # rebound module attribute (a test's fake, a tracer's wrapper) is honoured
-ROUTES: dict[str, Callable[[int, int, argparse.Namespace], int]] = {
-    "recurrence": lambda i, j, args: _last_row(i)[j + i] if abs(j) <= i else 0,
-    "triple_sum": lambda i, j, args: entry_triple_sum(i, j),
-    "convolved": lambda i, j, args: entry_convolved(i, j),
-    "series": _series_route,
-    "oracle": lambda i, j, args: count_by_height(i, cap=_cap("oracle", args)).get(j, 0),
+ROUTES: dict[str, Callable[[int, int], int]] = {
+    "recurrence": lambda i, j: _last_row(i)[j + i] if abs(j) <= i else 0,
+    "triple_sum": lambda i, j: entry_triple_sum(i, j),
+    "convolved": lambda i, j: entry_convolved(i, j),
+    # x^i of a truncated series is final at order i + 1
+    "series": lambda i, j: column_gf(abs(j), i + 1).integer_coefficients()[i],
+    "oracle": lambda i, j: count_by_height(i).get(j, 0),
 }
 
 # The reach of each route, and of each command that builds series: the flag
 # that caps it and that flag's default.  A route's row, keyed by its method,
-# caps the row index (row and column read the recurrence's).  At a default
+# caps the row index (row and column read the recurrence's); the series
+# method reads the row of series L<j> at its order, i + 1.  At a default
 # one request takes about 4-6 s on CPython 3.11, 2-CPU x86-64 (row 3000,
 # entry 1200 0 --method triple_sum, entry 350 0 --method convolved, series L1
 # --order 400, series B --order 1500; series L399 --order 400 about 8 s), and
@@ -101,23 +95,26 @@ REACH: dict[str, tuple[str, int]] = {
     "recurrence": ("--max-depth", 3000),
     "triple_sum": ("--max-depth", 1200),
     "convolved": ("--max-depth", 350),
-    "oracle": ("--oracle-cap", DEFAULT_CAP),
+    "oracle": ("--oracle-cap", 14),
     "series L<j>": ("--max-order", 400),
     "series F, C, B": ("--max-order", 1500),
     "check": ("--max-order", 150),
 }
-# each cap flag: how its refusal names the request, and how the cost grows
+# each cap flag: how its refusal names the request, how the cost grows, and
+# its largest value (one byte per path holds heights within +-MAX_LENGTH
+# only, so the oracle's walk refuses a longer length under any cap)
 _CAPS = {
-    "--max-depth": ("row {} is past", "the cost grows faster than the cube of the depth"),
-    "--max-order": ("--order {} is above", "the cost grows faster than the cube of the order"),
-    "--oracle-cap": ("length {} is past", "time and memory grow about 3.3x per unit of length"),
+    "--max-depth": ("row {} is past", "the cost grows faster than the cube of the depth", None),
+    "--max-order": ("order {} is above", "the cost grows faster than the cube of the order", None),
+    "--oracle-cap": ("length {} is past", "time and memory grow about 3.3x per unit of length",
+                     MAX_LENGTH),
 }
 
 
 def _cap(name: str, args: argparse.Namespace) -> int:
     """The cap on ``name``: its flag as given, else the flag's default in REACH."""
     flag, default = REACH[name]
-    given = getattr(args, flag[2:].replace("-", "_"))
+    given = getattr(args, flag[2:].replace("-", "_"), None)
     return default if given is None else given
 
 
@@ -126,34 +123,32 @@ def _reach(name: str, need: int, args: argparse.Namespace) -> None:
     cap = _cap(name, args)
     if need > cap:
         flag = REACH[name][0]
-        request, growth = _CAPS[flag]
+        request, growth, _ = _CAPS[flag]
         raise OutOfReach(f"{request.format(need)} {flag} {cap}; raise the cap knowingly, {growth}")
 
 
-def _in_range(name: str, value: int, low: int, high: int | None = None) -> int:
+def _in_range(name: str, value: int, low: int, high: int | None = None) -> None:
     if value < low or high is not None and value > high:
         allowed = f">= {low}" if high is None else f"{low} to {high}"
         raise UsageError(f"{name} must be {allowed}, got {value}")
-    return value
+
+
+def _caps_in_range(args: argparse.Namespace) -> None:
+    """The one range rule of every cap, whether or not the request reads it."""
+    for name, (flag, _) in REACH.items():
+        _in_range(flag, _cap(name, args), 0, _CAPS[flag][2])
 
 
 def _answer(method: str, i: int, j: int, args: argparse.Namespace) -> int:
-    """One route's value, refused past its row in REACH (the series method
-    has none: its reach is --order)."""
-    if method in REACH:
-        _reach(method, i, args)
-    return ROUTES[method](i, j, args)
+    """One route's value, refused past its row in REACH."""
+    row, need = ("series L<j>", i + 1) if method == "series" else (method, i)
+    _reach(row, need, args)
+    return ROUTES[method](i, j)
 
 
 def _cmd_entry(args: argparse.Namespace) -> tuple[int, str]:
     i, j = args.i, args.j
     _in_range("row index", i, 0)
-    _in_range("--order", args.order, 1)
-    if args.method in ("series", "all"):
-        _reach("series L<j>", args.order, args)
-    # one byte per path holds heights within +-MAX_LENGTH only, so the walker
-    # refuses a longer length under any cap
-    _in_range("--oracle-cap", _cap("oracle", args), 0, MAX_LENGTH)
     if args.method != "all":
         return EXIT_OK, str(_answer(args.method, i, j, args))
 
@@ -208,14 +203,11 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, str]:
     _in_range("--order", args.order, 1)
     _reach("check", args.order, args)
     _in_range("--max-oracle-n", args.max_oracle_n, 0)
-    oracle_cap = _in_range("--oracle-cap", _cap("oracle", args), 0, MAX_LENGTH)
-    if oracle_cap < args.max_oracle_n:
-        raise UsageError(f"--oracle-cap {oracle_cap} is below --max-oracle-n {args.max_oracle_n}")
+    _reach("oracle", args.max_oracle_n, args)
     results = run_all(
         max_i=args.max_i,
         max_oracle_n=args.max_oracle_n,
         series_order=args.order,
-        oracle_cap=oracle_cap,
     )
     lines = [f"{r.status:7s} {r.name}" + (f": {r.detail}" if r.detail else "") for r in results]
     failed = [r for r in results if not r.skipped and not r.passed]
@@ -242,8 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_entry.add_argument("i", type=int)
     p_entry.add_argument("j", type=int)
     p_entry.add_argument("--method", choices=(*ROUTES, "all"), default="recurrence")
-    p_entry.add_argument("--order", type=int, default=30,
-                         help="series truncation order for the series method")
     add_cap(p_entry, "series L<j>")
     add_cap(p_entry, "recurrence", "triple_sum", "convolved")
     add_cap(p_entry, "oracle")
@@ -288,6 +278,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
+        _caps_in_range(args)
         verdict, text = args.func(args)
     except UsageError as exc:
         _say(f"error: {exc}", sys.stderr)

@@ -16,19 +16,17 @@ one ``bytes.translate`` through a step table.  The tallies are
 ever derived from the tally of a shorter length.  This is the ground truth
 the fast recurrence table and the generating functions are checked
 against, so it is written to be obviously correct rather than fast.  Its
-time and memory grow about 3.3x per unit of length, so it refuses lengths
-above a configurable cap (default 14, a walk of about 1 s that peaks at
-about 11 MB), and under any cap lengths past ``MAX_LENGTH``, whose heights
-do not fit in a byte.
+time and memory grow about 3.3x per unit of length (a walk to 14 takes
+about 1 s and peaks at about 11 MB); how far to walk is the caller's
+choice.  The one limit here is of the format: lengths past ``MAX_LENGTH``
+have heights that do not fit in a byte, and are refused.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-__all__ = ["DEFAULT_CAP", "count_by_height", "count_motzkin2", "walk_paths"]
-
-DEFAULT_CAP = 14
+__all__ = ["count_by_height", "count_motzkin2", "walk_paths"]
 
 # a path's byte is its height + _ZERO, plus _NONNEGATIVE while it has not
 # dipped below 0; heights within +-MAX_LENGTH keep that in 1..255
@@ -62,16 +60,11 @@ def _extensions(frontier: bytes, previous: bytes) -> Iterator[bytes]:
     yield previous
 
 
-def walk_paths(max_n: int, cap: int = DEFAULT_CAP) -> tuple[list[dict[int, int]], list[int]]:
+def walk_paths(max_n: int) -> tuple[list[dict[int, int]], list[int]]:
     """For each length n <= max_n, the number of paths per final height
     (heights no path reaches omitted) and of non-negative paths ending at 0."""
     if max_n < 0:
         raise ValueError(f"length must be >= 0, got {max_n}")
-    if max_n > cap:
-        raise ValueError(
-            f"length {max_n} exceeds the enumeration cap {cap}; raise the cap "
-            "knowingly, time and memory grow about 3.3x per unit of length"
-        )
     if max_n > MAX_LENGTH:
         raise ValueError(
             f"length {max_n} is past {MAX_LENGTH}, the longest length whose heights fit in a byte"
@@ -100,14 +93,14 @@ def walk_paths(max_n: int, cap: int = DEFAULT_CAP) -> tuple[list[dict[int, int]]
     return by_height, closed
 
 
-def count_by_height(n: int, cap: int = DEFAULT_CAP) -> dict[int, int]:
+def count_by_height(n: int) -> dict[int, int]:
     """Number of unconstrained paths of length n per final height.
 
     Heights that no path reaches are omitted from the result.
     """
-    return walk_paths(n, cap)[0][n]
+    return walk_paths(n)[0][n]
 
 
-def count_motzkin2(n: int, cap: int = DEFAULT_CAP) -> int:
+def count_motzkin2(n: int) -> int:
     """Non-negative paths of length n ending at height 0 (steps U, D, H, H2)."""
-    return walk_paths(n, cap)[1][n]
+    return walk_paths(n)[1][n]

@@ -21,7 +21,7 @@ adding up Fractions term by term.
 product per outer coefficient; it skips the outer terms whose power of the
 inner series vanishes mod x^order.  A closed-form column of order N thus
 costs about N/2 products, and a few seconds at N = 400; the CLI refuses a
-column ``--order`` above its ``--max-order``.
+column order above its ``--max-order``.
 
 On top of the ring operations (add, multiply, reciprocal, square root,
 composition) this module builds the named series the rest of the library

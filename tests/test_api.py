@@ -6,7 +6,7 @@ PUBLIC = {
     "binomial", "TruncatedSeries", "fibonacci_gf", "catalan_gf", "motzkin2_gf",
     "column_gf", "column_gfs", "RhombusTable", "build_table", "iter_rows", "entry_triple_sum",
     "entry_convolved", "convolved_fib_series", "convolved_fib_gould", "convolved_fib_product",
-    "DEFAULT_CAP", "count_by_height", "count_motzkin2", "walk_paths", "CheckResult", "run_all",
+    "count_by_height", "count_motzkin2", "walk_paths", "CheckResult", "run_all",
     "__version__",
 }
 

@@ -64,6 +64,9 @@ def test_first_disagreement_names_the_first_failing_point():
     assert first_disagreement(points()) == "first disagreement at x^2: a=2, b=-1"
     assert consumed == [0, 1, 2]
     assert first_disagreement([("p", {"a": 1, "b": 1}), ("q", {"a": 2})]) is None
+    # a point where no route gave a value is a broken suite, not a verdict
+    with pytest.raises(ValueError, match=r"at \(i=3, j=1\)$"):
+        first_disagreement([("(i=3, j=1)", {})])
 
 
 def test_run_all_passes_at_reduced_bounds():

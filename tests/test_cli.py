@@ -67,9 +67,9 @@ def test_entry_json_decodes_to_same_value(capsys):
 def test_entry_all_skips_inapplicable_methods(capsys):
     code, out, err = run_cli(capsys, "entry", "35", "0", "--method", "all")
     assert code == 0
-    assert len(out.split()) == 3  # series (order 30) and oracle (cap 14) skipped
-    assert "skipping series" in err and "skipping oracle" in err
-    assert "--order" in err and "cap" in err
+    assert len(out.split()) == 4  # the series reads x^35 at order 36; the oracle is skipped
+    assert err.startswith("skipping oracle method (length 35 is past --oracle-cap 14;")
+    assert len(err.splitlines()) == 1
 
 
 def test_method_choices_follow_route_table():
@@ -154,9 +154,13 @@ def test_series_unknown_name(capsys):
 
 
 def test_entry_series_order_too_small(capsys):
-    code, _, err = run_cli(capsys, "entry", "50", "0", "--method", "series")
+    # the series method reads x^i at order i + 1, capped by --max-order
+    argv = ["entry", "50", "0", "--method", "series"]
+    code, _, err = run_cli(capsys, *argv, "--max-order", "50")
     assert code == 2
-    assert "--order" in err
+    assert err.startswith("error: order 51 is above --max-order 50;")
+    assert "--order" not in err
+    assert run_cli(capsys, *argv, "--max-order", "51")[:2] == (0, f"{entry_triple_sum(50, 0)}\n")
 
 
 def test_entry_oracle_above_cap(capsys):
@@ -171,27 +175,34 @@ def test_entry_negative_row_is_usage_error(capsys):
     assert "error" in err
 
 
+# each argv ends with the flag out of range and its value; a cap flag is
+# checked whether or not the request reads it
 @pytest.mark.parametrize("argv", [
     ["series", "F", "--order", "0"],
-    ["entry", "3", "0", "--order", "0"],
     ["entry", "3", "0", "--oracle-cap", "-1"],
-    ["check", "--oracle-cap", "5"],
     ["check", "--max-oracle-n", "0", "--oracle-cap", "-1"],
-    ["entry", "64", "0", "--method", "all", "--oracle-cap", "64", "--order", "70"],
+    ["entry", "64", "0", "--method", "all", "--oracle-cap", "64"],
     ["check", "--max-oracle-n", "64", "--oracle-cap", "64"],
+    ["row", "3", "--max-depth", "-1"],
+    ["series", "L1", "--max-order", "-1"],
+    ["entry", "3", "0", "--method", "oracle", "--max-order", "-1"],
 ])
 def test_out_of_range_bounds_are_usage_errors(capsys, argv):
+    allowed = {"--order": ">= 1", "--oracle-cap": "0 to 63", "--max-depth": ">= 0",
+               "--max-order": ">= 0"}
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: --")
+    assert err == f"error: {argv[-2]} must be {allowed[argv[-2]]}, got {argv[-1]}\n"
 
 
 @pytest.mark.parametrize("argv, order, row", [
     (["series", "L1"], cap("series L<j>") + 1, "series L<j>"),
     (["series", "L1"], 10**6, "series L<j>"),
-    (["entry", "3", "0", "--method", "series"], cap("series L<j>") + 1, "series L<j>"),
-    (["entry", "3", "0", "--method", "all"], cap("series L<j>") + 1, "series L<j>"),
+    (["entry", str(cap("series L<j>")), "0", "--method", "series"], cap("series L<j>") + 1,
+     "series L<j>"),
+    (["entry", str(cap("series L<j>")), "0", "--method", "all"], cap("series L<j>") + 1,
+     "series L<j>"),
     (["check"], cap("check") + 1, "check"),
     (["series", "B"], cap("series F, C, B") + 1, "series F, C, B"),
     (["series", "C"], 10**5, "series F, C, B"),
@@ -201,24 +212,34 @@ def test_out_of_range_bounds_are_usage_errors(capsys, argv):
 def test_order_above_the_cap_is_refused_at_once(capsys, monkeypatch, argv, order, row):
     for name in ("column_gf", "run_all", "fibonacci_gf", "catalan_gf", "motzkin2_gf"):
         monkeypatch.setattr(cli, name, never)
-    code, out, err = run_cli(capsys, *argv, "--order", str(order))
-    assert code == 2
-    assert out == ""
-    assert err.startswith(f"error: --order {order} is above --max-order {cap(row)};")
+    # entry has no --order: its series method reads x^i at order i + 1
+    if argv[0] != "entry":
+        argv = [*argv, "--order", str(order)]
+    code, out, err = run_cli(capsys, *argv)
+    refusal = f"order {order} is above --max-order {cap(row)};"
+    if argv[-1] == "all":
+        # the series is skipped with a note, and the routes within reach answer
+        assert code == 0
+        assert out.split() == [str(entry_triple_sum(*map(int, argv[1:3])))] * 2
+        assert f"skipping series method ({refusal}" in err
+    else:
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {refusal}")
 
 
 @pytest.mark.parametrize("argv, expected", [
-    (["series", "F"], "0,1,1,2,3"),
-    (["series", "C"], "1,1,2,5,14"),
-    (["series", "B"], "1,1,3,6,16"),
-    (["entry", "5", "0"], "82"),
-    (["entry", "5", "0", "--method", "triple_sum"], "82"),
-    (["entry", "5", "0", "--method", "oracle"], "82"),
+    (["series", "F", "--order", str(cap("series L<j>") + 1)], "0,1,1,2,3"),
+    (["series", "C", "--order", str(cap("series L<j>") + 1)], "1,1,2,5,14"),
+    (["series", "B", "--order", str(cap("series L<j>") + 1)], "1,1,3,6,16"),
+    (["entry", "5", "0", "--max-order", "0"], "82"),
+    (["entry", "5", "0", "--method", "triple_sum", "--max-order", "0"], "82"),
+    (["entry", "5", "0", "--method", "oracle", "--max-order", "0"], "82"),
 ], ids=["F", "C", "B", "entry-recurrence", "entry-triple_sum", "entry-oracle"])
 def test_the_cap_leaves_other_series_and_routes_alone(capsys, argv, expected):
     # the column series cap does not reach F, C and B, which have their own
-    # higher cap, and the other entry routes never read --order
-    code, out, _ = run_cli(capsys, *argv, "--order", str(cap("series L<j>") + 1))
+    # higher cap, and the other entry routes never read --max-order
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out.startswith(expected)
 
@@ -282,8 +303,8 @@ def test_max_depth_moves_the_cap(capsys, monkeypatch):
     assert code == 2
     assert "row 4 is past --max-depth 3" in err
     # an explicit --max-depth caps all three row-index routes, and entry
-    # --method all skips them past it, as it skips the series past --order
-    # and the oracle past --oracle-cap
+    # --method all skips them past it, as it skips the series past
+    # --max-order and the oracle past --oracle-cap
     code, out, err = run_cli(capsys, "entry", "4", "2", "--method", "all", "--max-depth", "3")
     assert code == 0
     assert out.split() == ["13"] * 2
@@ -312,6 +333,21 @@ def test_internal_failure_exits_1(capsys, monkeypatch):
     assert err.strip() == "error: internal: invariant violated"
 
 
+@pytest.mark.parametrize("argv, length, oracle_cap", [
+    (["entry", "15", "0", "--method", "oracle"], 15, cap("oracle")),
+    (["check", "--max-oracle-n", "15"], 15, cap("oracle")),
+    (["check", "--oracle-cap", "5"], 12, 5),
+], ids=["entry", "check", "check-lowered"])
+def test_oracle_length_above_the_cap_is_refused_at_once(capsys, monkeypatch, argv, length,
+                                                        oracle_cap):
+    for name in ("count_by_height", "run_all"):
+        monkeypatch.setattr(cli, name, never)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: length {length} is past --oracle-cap {oracle_cap}; raise the cap "
+                   "knowingly, time and memory grow about 3.3x per unit of length\n")
+
+
 def test_oracle_cap_past_the_byte_range_is_a_usage_error(capsys, monkeypatch):
     # one byte per path holds heights within +-63 only, so no --oracle-cap
     # above 63 can be served; it is refused before the walk
@@ -326,7 +362,7 @@ def test_oracle_cap_past_the_byte_range_is_a_usage_error(capsys, monkeypatch):
 
 def test_recursion_error_exits_1(capsys, monkeypatch):
     # no route recurses deeply, but a RecursionError is still an internal failure
-    def too_deep(n, cap):
+    def too_deep(n):
         raise RecursionError("maximum recursion depth exceeded")
 
     monkeypatch.setattr(cli, "count_by_height", too_deep)
@@ -416,7 +452,7 @@ def test_closed_stdout_leaks_no_descriptor(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, code, out", [
-    (["entry", "35", "0", "--method", "all"], 0, b"119511225134954688\n" * 3),
+    (["entry", "35", "0", "--method", "all"], 0, b"119511225134954688\n" * 4),
     (["entry", "-1", "0"], 2, b""),
     (["series", "Q"], 2, b""),
 ], ids=["entry-all-skipping", "entry-negative-row", "series-unknown"])

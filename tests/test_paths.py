@@ -7,7 +7,6 @@ from itertools import accumulate
 import pytest
 
 from pascal_rhombus import (
-    DEFAULT_CAP,
     build_table,
     count_by_height,
     count_motzkin2,
@@ -46,7 +45,12 @@ class LatticePath:
         return all(h >= 0 for h in accumulate(STEP_RISE[s] for s in self.steps))
 
 
-def enumerate_grand(n, cap=DEFAULT_CAP):
+# the reference enumerator's own guard: the number of paths it lists grows
+# about 3.3x per unit of length
+LISTED_CAP = 14
+
+
+def enumerate_grand(n, cap=LISTED_CAP):
     """Every step sequence of total extent n, once each, no sign constraint."""
     if n > cap:
         raise ValueError(f"length {n} exceeds the enumeration cap {cap}")
@@ -120,11 +124,7 @@ def test_enumerate_length_two():
 
 def test_enumeration_cap_guards_blowup():
     with pytest.raises(ValueError, match="cap"):
-        list(enumerate_grand(15))
-    with pytest.raises(ValueError, match="cap"):
-        count_by_height(5, cap=4)
-    # raising the cap explicitly is allowed
-    assert count_motzkin2(3, cap=3) == 6
+        list(enumerate_grand(LISTED_CAP + 1))
 
 
 def test_count_by_height_golden():
@@ -208,27 +208,27 @@ def test_walk_matches_the_listed_paths(max_n):
 def test_walk_tallies_each_path_once():
     # a path of length n >= 2 starts with U, D or H before a path of length
     # n - 1, or with H2 before one of length n - 2
+    # to 14, the CLI's default oracle cap: a walk of about 1 s
+    max_n = 14
     totals = [1, 3]
-    while len(totals) <= DEFAULT_CAP:
+    while len(totals) <= max_n:
         totals.append(3 * totals[-1] + totals[-2])
-    by_height, _ = walk_paths(DEFAULT_CAP)
+    by_height, _ = walk_paths(max_n)
     assert [sum(counts.values()) for counts in by_height] == totals
 
 
 def test_walk_rejects_bad_lengths():
     with pytest.raises(ValueError, match="must be >= 0"):
         walk_paths(-1)
-    with pytest.raises(ValueError, match="cap"):
-        walk_paths(DEFAULT_CAP + 1)
 
 
 def test_walk_refuses_heights_past_a_byte_at_once(monkeypatch):
-    # a raised cap does not lift the byte range; the refusal comes before
-    # the walk, whose frontier would need about 3.3^n bytes
+    # the byte range is the walk's one limit; the refusal comes before the
+    # walk, whose frontier would need about 3.3^n bytes
     def no_walk(frontier, previous):
         raise AssertionError("walked before refusing")
 
     monkeypatch.setattr(paths, "_extensions", no_walk)
     too_long = paths.MAX_LENGTH + 1
     with pytest.raises(ValueError, match=f"past {paths.MAX_LENGTH}"):
-        walk_paths(too_long, cap=too_long)
+        walk_paths(too_long)

@@ -188,8 +188,7 @@ def past_reach(*names):
 
 
 # sizes stay small where no cap guards the cost; huge values go only where
-# --max-order, --max-depth, --oracle-cap or --order turns them away before
-# any work
+# --max-order, --max-depth or --oracle-cap turns them away before any work
 SMALL = st.integers(-3, 60)
 PAST_MAX_DEPTH = past_reach("recurrence")
 SMALL_ORDER = st.integers(-2, 20)
@@ -200,16 +199,15 @@ ORACLE_CAP = _opt("--oracle-cap", st.integers(-2, 8))
 @st.composite
 def entry_argv(draw):
     method = draw(st.sampled_from([*cli.ROUTES, "all"]))
-    # past --order, --oracle-cap or --max-depth, for all past every route
-    past = {"series": st.integers(61, 10**9), "oracle": st.integers(61, 10**9),
-            "recurrence": PAST_MAX_DEPTH, "triple_sum": past_reach("triple_sum"),
-            "convolved": past_reach("convolved"),
+    # past --max-order (the series reads x^i at order i + 1), --oracle-cap or
+    # --max-depth, for all past every route
+    past = {"series": past_reach("series L<j>").map(lambda order: order - 1),
+            "oracle": st.integers(61, 10**9), "recurrence": PAST_MAX_DEPTH,
+            "triple_sum": past_reach("triple_sum"), "convolved": past_reach("convolved"),
             "all": past_reach("recurrence", "triple_sum", "convolved")}
     i = draw(SMALL | past[method])
-    capped = method in ("series", "all")
-    order = draw(SMALL_ORDER | past_reach("series L<j>") if capped else SMALL)
     return ["entry", str(i), str(draw(st.integers(-70, 70))), "--method", method,
-            "--order", str(order), *draw(ORACLE_CAP), *draw(FORMAT)]
+            *draw(ORACLE_CAP), *draw(FORMAT)]
 
 
 @st.composite
