@@ -17,8 +17,7 @@ policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .closedforms import (
     binomial,
@@ -53,8 +52,7 @@ Points = Iterable[tuple[str, dict[str, object]]]
 Columns = dict[str, list[TruncatedSeries]]
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""

@@ -20,7 +20,6 @@ Exit codes: 0 all good (also when the reader closes the pipe early),
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -60,6 +59,7 @@ def _say(text: str, stream: TextIO) -> None:
 
 def _emit_sequence(values: list[int], fmt: str) -> str:
     if fmt == "json":
+        import json  # only here, to keep it off the import path of every request
         return json.dumps(values)
     if fmt == "csv":
         return "\n".join(str(v) for v in values)
@@ -88,9 +88,9 @@ ROUTES: dict[str, Callable[[int, int], int]] = {
 # caps the row index (row and column read the recurrence's); the series
 # method reads the row of series L<j> at its order, i + 1.  At a default
 # one request takes about 4-6 s on CPython 3.11, 2-CPU x86-64 (row 3000,
-# entry 1200 0 --method triple_sum, entry 350 0 --method convolved, series L1
-# --order 400, series B --order 1500; series L399 --order 400 about 8 s), and
-# check and the oracle's walk about 1 s.
+# entry 1200 0 --method triple_sum, entry 350 0 --method convolved, series B
+# --order 1500, series L399 --order 400; series L1 --order 400 under 1 s),
+# and check and the oracle's walk about 1 s.
 REACH: dict[str, tuple[str, int]] = {
     "recurrence": ("--max-depth", 3000),
     "triple_sum": ("--max-depth", 1200),

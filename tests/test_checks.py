@@ -7,6 +7,7 @@ import pytest
 from pascal_rhombus import RhombusTable, TruncatedSeries, checks, iter_rows, run_all
 from pascal_rhombus.series import COLUMN_METHODS
 from pascal_rhombus.checks import (
+    CheckResult,
     check_catalan_binomial,
     check_column_functional_equation,
     check_column_routes,
@@ -81,6 +82,18 @@ def test_status_strings():
     oracle = next(r for name, r in by_name.items() if name.startswith("oracle"))
     assert oracle.skipped and oracle.status == "SKIPPED"
     assert all(r.status == "PASS" for r in results if not r.skipped)
+
+
+def test_check_result_fields_defaults_and_equality():
+    by_position = CheckResult("suite", False, "detail", True)
+    by_keyword = CheckResult(name="suite", passed=False, detail="detail", skipped=True)
+    assert by_position == by_keyword
+    assert by_position != CheckResult("suite", False, "detail")
+    passed = CheckResult("suite", True)
+    assert (passed.detail, passed.skipped) == ("", False)
+    assert [r.status for r in (passed, CheckResult("suite", False), by_position)] == [
+        "PASS", "FAIL", "SKIPPED",
+    ]
 
 
 def test_method_agreement_catches_corruption(monkeypatch):

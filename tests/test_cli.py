@@ -482,3 +482,25 @@ def test_exact_decimals_past_the_digit_limit():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert max(len(v) for v in proc.stdout.split(",")) > 640
+
+
+def test_import_leaves_dataclasses_inspect_and_json_out():
+    # every request pays for the modules the CLI imports; json loads only
+    # when --format json asks for it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys\n"
+        "from pascal_rhombus import cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))\n"
+        "sys.exit(cli.main(['series', 'F', '--order', '5', '--format', 'json']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, printed = proc.stdout.splitlines()
+    assert loaded == "[]"
+    assert json.loads(printed) == [0, 1, 1, 2, 3]

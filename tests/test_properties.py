@@ -7,10 +7,12 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pascal_rhombus import TruncatedSeries, binomial, build_table, entry_convolved, entry_triple_sum
+from pascal_rhombus import (
+    TruncatedSeries, binomial, build_table, catalan_gf, entry_convolved, entry_triple_sum, fibonacci_gf,
+)
 from pascal_rhombus import cli
 
 # on a failure hypothesis imports libcst to suggest a patch, and where libcst
@@ -144,17 +146,35 @@ def test_mul_is_the_plain_convolution(pair):
     assert all(type(c) is Fraction for c in product.coeffs)
 
 
-@exact
-@given(st.tuples(st.integers(1, 10), st.sampled_from([1, 2, 3, None])).flatmap(
+def rational_pair(order, valuation):
+    outer = TruncatedSeries.from_coeffs([Fraction(k - 3, k % 4 + 1) for k in range(order)])
+    inner = TruncatedSeries.from_coeffs([0] * valuation + [1, Fraction(-2, 3), Fraction(5, 2)], order)
+    return outer, inner
+
+
+@settings(exact, max_examples=40)
+@given(st.tuples(st.integers(1, 40), st.sampled_from([3, 2, 1, None])).flatmap(
     lambda spec: st.tuples(
         series(spec[0]),
         inner_of_valuation(spec[0], spec[0] if spec[1] is None else spec[1]),
     )
 ))
+# the outer terms that can survive, top + 1, are 36 = 6 blocks of 6, a
+# perfect square, and 14 = blocks of 3, 3, 3, 3 and a partial 2
+@example(rational_pair(36, 1))
+@example(rational_pair(40, 3))
 def test_trimmed_compose_is_full_horner(pair):
-    # valuations 1, 2 and 3, and the all-zero inner (valuation = order)
+    # valuations 1, 2 and 3, and the all-zero inner (valuation = order); up
+    # to order 40 the blocks of Paterson–Stockmeyer take sizes 1 to 6
     outer, inner = pair
     assert outer.compose(inner) == untrimmed_horner(outer, inner)
+
+
+def test_catalan_of_fibonacci_squared_is_full_horner_at_order_91():
+    # the top of the column orders that series L<j> requests are benchmarked at
+    f = fibonacci_gf(91)
+    c = catalan_gf(91)
+    assert c.compose(f * f) == untrimmed_horner(c, f * f)
 
 
 @settings(exact, max_examples=60)

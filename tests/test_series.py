@@ -6,6 +6,8 @@ Catalan numbers) and frozen here; the tests then check the series engine
 against them, never against itself.
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -65,6 +67,37 @@ def test_valuation():
 def test_structural_equality():
     assert series([1, 2], 3) == series([1, 2, 0], 3)
     assert series([1, 2], 3) != series([1, 2], 4)
+
+
+def test_coefficients_are_checked():
+    with pytest.raises(ValueError):
+        TruncatedSeries(())
+    with pytest.raises(TypeError):
+        TruncatedSeries((Fraction(1), 2))
+
+
+def test_series_are_immutable():
+    s = series([1, 2])
+    with pytest.raises(AttributeError):
+        s.coeffs = (Fraction(3),)
+    with pytest.raises(AttributeError):
+        del s.coeffs
+    with pytest.raises(AttributeError):
+        s.order_cache = 2
+    assert s.coeffs == (Fraction(1), Fraction(2))
+    # copies are rebuilt through the constructor, not by setting attributes
+    assert copy.deepcopy(s) == pickle.loads(pickle.dumps(s)) == s
+
+
+def test_equal_series_hash_alike():
+    assert hash(series([1, 2], 3)) == hash(series([1, 2, 0], 3))
+    assert len({series([1, 2], 3), series([1, 2, 0], 3), series([1, 2], 4)}) == 2
+
+
+def test_repr_shows_the_coefficients():
+    assert repr(series([1, Fraction(1, 2)])) == (
+        "TruncatedSeries(coeffs=(Fraction(1, 1), Fraction(1, 2)))"
+    )
 
 
 # -- ring operations --------------------------------------------------------
