@@ -37,10 +37,9 @@ __all__ = [
 def binomial(n: int, k: int) -> int:
     """C(n, k), with C(n, k) = 0 whenever k < 0 or k > n.
 
-    The zero convention is load-bearing: the closed-form sums in this
-    library run their indices past the support of their terms and rely on
-    the out-of-range factors vanishing.  Negative n is a domain error,
-    not a convention.
+    The zero convention is the public contract, for callers whose sums run
+    past the support; the library's own sums stay inside it.  Negative n is
+    a domain error, not a convention.
     """
     if n < 0:
         raise ValueError(f"binomial requires n >= 0, got n={n}")
@@ -51,9 +50,9 @@ def binomial(n: int, k: int) -> int:
 def entry_triple_sum(i: int, j: int) -> int:
     """Entry (i, j) as a double sum of three binomial factors.
 
-    The outer index stops at floor((i - |j|)/2) and the inner one starts at
-    ceil(k/2), k = i - |j| - 2m: the terms left out are zero by the convention
-    of binomial, which is why it, not a bare comb, gives every factor here.
+    The outer index stops at floor((i - |j|)/2) and the inner one runs over
+    ceil(k/2) <= l <= k, k = i - |j| - 2m: the terms left out are zero, and
+    every binomial(a, b) taken here has 0 <= b <= a.
     """
     if i < 0:
         raise ValueError(f"row index must be >= 0, got {i}")
@@ -75,8 +74,7 @@ def convolved_fib_series(r: int, count: int) -> list[int]:
 
     r = 1 gives the classical Fibonacci numbers 1, 1, 2, 3, 5, ...; larger
     r convolves that sequence with itself r times.  Computed through the
-    exact series reciprocal and power; integrality of the result is a
-    consequence, and is enforced.
+    series reciprocal and power over the integers.
     """
     if r < 1:
         raise ValueError(f"convolution depth r must be >= 1, got {r}")

@@ -5,7 +5,6 @@ report with timings.
 """
 
 import time
-from fractions import Fraction
 
 from pascal_rhombus import (
     binomial,
@@ -170,16 +169,16 @@ def test_criterion_10_column_integrality():
         for j in range(7):
             for method in ("closed_form", "functional_equation"):
                 for c in column_gf(j, 30, method).coeffs:
-                    assert isinstance(c, Fraction) and c.denominator == 1
-    report(10, "all column coefficients are integers despite rational intermediates", watch)
+                    assert type(c) is int
+    report(10, "all column coefficients are ints, every division on the way exact", watch)
 
 
 def test_closed_form_column_at_order_200_is_fast():
-    # every operand on the closed-form path is integral; over Fraction
-    # products this takes about 20 s, over int products under 1 s
+    # int products take this well under 1 s; the gate leaves room for a
+    # slow host
     with Stopwatch() as watch:
         column = column_gf(1, 200, "closed_form")
-    assert column.coeffs[1:9] == tuple(map(Fraction, GOLDEN_COLUMNS[1]))
+    assert column.coeffs[1:9] == tuple(GOLDEN_COLUMNS[1])
     assert watch.elapsed < 5.0
     report("gate", "closed-form column 1 to order 200 in under 5 s", watch)
 

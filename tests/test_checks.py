@@ -1,7 +1,5 @@
 """The consistency-check suites, including proof that they catch faults."""
 
-from fractions import Fraction
-
 import pytest
 
 from pascal_rhombus import RhombusTable, TruncatedSeries, checks, iter_rows, run_all
@@ -174,18 +172,13 @@ def test_column_routes_catch_corruption(monkeypatch):
 
 @pytest.mark.parametrize("corrupt, detail", [
     pytest.param(
-        lambda s: bumped(s, 5, Fraction(1, 2)),
-        "column 3: coefficient of x^5 is 39/2, not an integer",
-        id="half",
-    ),
-    pytest.param(
         lambda s: bumped(s, 5, -2 * s.coeffs[5]), "column 3 has a negative coefficient",
         id="negated",
     ),
 ])
 def test_column_routes_catch_agreeing_bad_coefficients(monkeypatch, corrupt, detail):
-    # both routes corrupted alike agree, so only the integrality and sign
-    # checks can catch the fault
+    # both routes corrupted alike agree, so only the sign check can catch
+    # the fault
     corrupt_columns(monkeypatch, lambda j, method, series: corrupt(series) if j == 3 else series)
     alone = check_column_routes(16)
     for result in (alone, shared_result(alone.name)):
@@ -227,38 +220,38 @@ def test_suite_stops_at_first_disagreement(monkeypatch):
     assert calls == [(0, 1), (1, 1), (2, 1), (3, 1)]
 
 
-def half_in_closed_form_column_3(monkeypatch):
+def one_more_in_closed_form_column_3(monkeypatch):
     corrupt_columns(monkeypatch, lambda j, method, series: (
-        bumped(series, 5, Fraction(1, 2)) if (j, method) == (3, "closed_form") else series
+        bumped(series, 5) if (j, method) == (3, "closed_form") else series
     ))
 
 
-def half_in_motzkin2(monkeypatch):
+def one_more_in_motzkin2(monkeypatch):
     real = checks.motzkin2_gf
-    monkeypatch.setattr(checks, "motzkin2_gf", lambda *args: bumped(real(*args), 4, Fraction(1, 2)))
+    monkeypatch.setattr(checks, "motzkin2_gf", lambda *args: bumped(real(*args), 4))
 
 
 @pytest.mark.parametrize("corrupt, expected", [
     pytest.param(
-        half_in_closed_form_column_3,
+        one_more_in_closed_form_column_3,
         {
             "method-agreement (i <= 12)": "first disagreement at (i=5, j=-3): "
-            "recurrence=19, triple_sum=19, convolved=19, series=39/2",
+            "recurrence=19, triple_sum=19, convolved=19, series=20",
             "column-route-agreement (j <= 6)": "first disagreement at x^5 of column 3: "
-            "closed_form=39/2, functional_equation=19",
+            "closed_form=20, functional_equation=19",
         },
         id="column_gf",
     ),
     pytest.param(
-        half_in_motzkin2,
+        one_more_in_motzkin2,
         {
             "oracle-agreement (n <= 6)": "first disagreement at closed paths of length n=4: "
-            "oracle=16, series=33/2",
+            "oracle=16, series=17",
         },
         id="motzkin2_gf",
     ),
 ])
-def test_non_integer_coefficient_is_a_fail_line(monkeypatch, corrupt, expected):
+def test_off_by_one_coefficient_is_a_fail_line(monkeypatch, corrupt, expected):
     corrupt(monkeypatch)
     results = {r.name: r for r in run_all(max_i=12, max_oracle_n=6, series_order=14)}
     assert len(results) == 8

@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from pascal_rhombus import cli, entry_triple_sum
+from pascal_rhombus import TruncatedSeries, checks, cli, entry_triple_sum
 
 
 def run_cli(capsys, *argv):
@@ -360,6 +360,16 @@ def test_oracle_cap_past_the_byte_range_is_a_usage_error(capsys, monkeypatch):
     assert err == "error: --oracle-cap must be 0 to 63, got 1200\n"
 
 
+def test_inexact_square_root_is_an_internal_failure(capsys, monkeypatch):
+    # a route step that is not integral has no value to compare: check stops
+    # with one internal error naming the coefficient
+    monkeypatch.setattr(checks, "motzkin2_gf",
+                        lambda *args: TruncatedSeries.from_coeffs([1, 1], 4).sqrt())
+    code, out, err = run_cli(capsys, "check")
+    assert (code, out) == (1, "")
+    assert err == "error: internal: coefficient of x^1 of the square root is 1/2, not an integer\n"
+
+
 def test_recursion_error_exits_1(capsys, monkeypatch):
     # no route recurses deeply, but a RecursionError is still an internal failure
     def too_deep(n):
@@ -486,12 +496,13 @@ def test_exact_decimals_past_the_digit_limit():
 
 def test_import_leaves_dataclasses_inspect_and_json_out():
     # every request pays for the modules the CLI imports; json loads only
-    # when --format json asks for it
+    # when --format json asks for it, and series of ints need no fractions
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = (
         "import sys\n"
         "from pascal_rhombus import cli\n"
-        "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))\n"
+        "out = {'dataclasses', 'inspect', 'json', 'fractions', 'decimal', 'numbers'}\n"
+        "print(sorted(out & set(sys.modules)))\n"
         "sys.exit(cli.main(['series', 'F', '--order', '5', '--format', 'json']))\n"
     )
     proc = subprocess.run(
