@@ -88,12 +88,12 @@ ROUTES: dict[str, Callable[[int, int], int]] = {
 # caps the row index (row and column read the recurrence's); the series
 # method reads the row of series L<j> at its order, i + 1.  At a default
 # one request takes about 4-7 s on CPython 3.11, 2-CPU x86-64 (row 3000,
-# entry 1200 0 --method triple_sum, entry 350 0 --method convolved, series
+# entry 4500 0 --method triple_sum, entry 350 0 --method convolved, series
 # L399 --order 400; series B or C --order 1500 about 2 s, series L1 --order
 # 400 under 1 s), check about 0.4 s and the oracle's walk under 1 s.
 REACH: dict[str, tuple[str, int]] = {
     "recurrence": ("--max-depth", 3000),
-    "triple_sum": ("--max-depth", 1200),
+    "triple_sum": ("--max-depth", 4500),
     "convolved": ("--max-depth", 350),
     "oracle": ("--oracle-cap", 14),
     "series L<j>": ("--max-order", 400),

@@ -10,8 +10,8 @@ into another):
   over weak compositions of products of Fibonacci numbers),
 * the entry formula combining binomials with convolved Fibonacci numbers.
 
-Their binomial factors come from one kernel, :func:`binomial`: `math.comb`
-with the out-of-range-zero convention, C(n, k) = 0 for k < 0 or k > n.
+Their binomials are `math.comb` in its support, stepped by exact term ratios
+in the triple sum; :func:`binomial` adds C(n, k) = 0 for k < 0 or k > n.
 
 Entries at negative j are evaluated at |j|; the recurrence is left-right
 symmetric and the equality of both halves is verified numerically
@@ -51,8 +51,10 @@ def entry_triple_sum(i: int, j: int) -> int:
     """Entry (i, j) as a double sum of three binomial factors.
 
     The outer index stops at floor((i - |j|)/2) and the inner one runs over
-    ceil(k/2) <= l <= k, k = i - |j| - 2m: the terms left out are zero, and
-    every binomial(a, b) taken here has 0 <= b <= a.
+    ceil(k/2) <= l <= k, k = i - |j| - 2m: the terms left out are zero.  The
+    inner terms C(l + i - k, l) C(l, k - l) start at C(i, k), l = k, and step
+    down in l by their ratio u (u - 1) / ((i - v + 1) v), with v = k - l + 1
+    and u = 2l - k; each `//` is exact, as it yields the next term, an integer.
     """
     if i < 0:
         raise ValueError(f"row index must be >= 0, got {i}")
@@ -60,12 +62,12 @@ def entry_triple_sum(i: int, j: int) -> int:
     if j > i:
         return 0
     total = 0
-    for m in range((i - j) // 2 + 1):
-        k = i - j - 2 * m
-        rest = 0
-        for l in range((k + 1) // 2, k + 1):
-            rest += binomial(l + j + 2 * m, l) * binomial(l, k - l)
-        total += binomial(2 * m + j, m) * rest
+    for m, k in enumerate(range(i - j, -1, -2)):
+        term = rest = comb(i, k)
+        for v, u in enumerate(range(k, 1, -2), 1):
+            term = term * (u * (u - 1)) // ((i - v + 1) * v)
+            rest += term
+        total += comb(i - k, m) * rest
     return total
 
 
@@ -141,7 +143,8 @@ _conv_prefix_cache: dict[int, tuple[int, ...]] = {}
 def _convolved_prefix(r: int, count: int) -> tuple[int, ...]:
     cached = _conv_prefix_cache.get(r)
     if cached is None or len(cached) < count:
-        cached = tuple(convolved_fib_series(r, max(count, 32)))
+        # a rebuild doubles, so an ascending sweep rebuilds each r about log2 times
+        cached = tuple(convolved_fib_series(r, max(count, 2 * len(cached) if cached else 32)))
         _conv_prefix_cache[r] = cached
     return cached
 

@@ -5,11 +5,13 @@ import pytest
 from pascal_rhombus import (
     binomial,
     build_table,
+    closedforms,
     convolved_fib_gould,
     convolved_fib_product,
     convolved_fib_series,
     entry_convolved,
     entry_triple_sum,
+    iter_rows,
 )
 
 
@@ -58,6 +60,36 @@ def test_triple_sum_matches_table():
     for i in range(26):
         for j in range(-i, i + 1):
             assert entry_triple_sum(i, j) == table.entry(i, j)
+
+
+def test_triple_sum_deep_matches_recurrence():
+    # the term ratios run over long inner sums here, and meet both ends of the row
+    for row in iter_rows(600):
+        pass
+    for j in (0, 1, 2, 3, 299, 300, 598, 599, 600):
+        for signed in (j, -j):
+            assert entry_triple_sum(600, signed) == row[600 + signed], signed
+    assert entry_triple_sum(600, 601) == entry_triple_sum(600, -601) == 0
+
+
+def test_convolved_prefix_grows_by_doubling(monkeypatch):
+    builds = {}
+    build = closedforms.convolved_fib_series
+
+    def counted(r, count):
+        builds[r] = builds.get(r, 0) + 1
+        return build(r, count)
+
+    points = [(i, j) for i in range(41) for j in range(-i, i + 1)]
+    monkeypatch.setattr(closedforms, "_conv_prefix_cache", {})
+    descending = {point: entry_convolved(*point) for point in reversed(points)}
+    monkeypatch.setattr(closedforms, "_conv_prefix_cache", {})
+    monkeypatch.setattr(closedforms, "convolved_fib_series", counted)
+    ascending = {point: entry_convolved(*point) for point in points}
+    assert ascending == descending
+    # depth r reads up to 42 - r coefficients: a cold build of 32, and one
+    # rebuild, of 64, for r <= 9, where a rebuild at each new length makes 86
+    assert builds == {r: 2 if r <= 9 else 1 for r in range(1, 42)}
 
 
 def test_convolved_series_classical_case():
