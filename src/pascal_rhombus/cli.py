@@ -12,9 +12,11 @@ caps are this module's policy: the library routes take none.  Only the
 sweep of ``check --max-i`` has no cap.
 
 Values go to stdout as exact decimal strings, diagnostics go to stderr.
-Exit codes: 0 all good (also when the reader closes the pipe early),
-1 mathematical disagreement, failed check or internal invariant failure,
-2 usage error, a request past its reach included.
+Exit codes: 0 all good (also when the reader closes the pipe early or
+stdout is closed), 1 mathematical disagreement, failed check, internal
+invariant failure or output that could not be written, 2 usage error, a
+request past its reach included.  A diagnostic that cannot be written is
+dropped and the exit code stands.
 """
 
 from __future__ import annotations
@@ -45,16 +47,23 @@ class OutOfReach(UsageError):
     """A request is past the reach of its route or command, its cap in REACH."""
 
 
-def _say(text: str, stream: TextIO) -> None:
+def _say(text: str, stream: TextIO | None) -> OSError | None:
+    """Write one line; the error if the stream would not take it.
+
+    A stream closed before start (None) takes nothing and is no error.
+    """
+    if stream is None:
+        return None
     try:
         print(text, file=stream)
         stream.flush()
-    except BrokenPipeError:
-        # the reader closed the pipe: point the stream at devnull so the flush
-        # at shutdown cannot fail again; the caller keeps the command's verdict
+    except OSError as exc:
+        # point the stream at devnull so the flush at shutdown cannot fail again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, stream.fileno())
         os.close(devnull)
+        return exc
+    return None
 
 
 def _emit_sequence(values: list[int], fmt: str) -> str:
@@ -88,15 +97,15 @@ ROUTES: dict[str, Callable[[int, int], int]] = {
 # caps the row index (row and column read the recurrence's); the series
 # method reads the row of series L<j> at its order, i + 1.  At a default
 # one request takes about 4-7 s on CPython 3.11, 2-CPU x86-64 (row 3000,
-# entry 4500 0 --method triple_sum, entry 350 0 --method convolved, series
-# L399 --order 400; series B or C --order 1500 about 2 s, series L1 --order
-# 400 under 1 s), check about 0.4 s and the oracle's walk under 1 s.
+# entry 4500 0 --method triple_sum, entry 350 0 --method convolved; series
+# B or C --order 1500 about 2 s, series L<j> --order 700 about 3-4 s for
+# every j), check about 0.4 s and the oracle's walk under 1 s.
 REACH: dict[str, tuple[str, int]] = {
     "recurrence": ("--max-depth", 3000),
     "triple_sum": ("--max-depth", 4500),
     "convolved": ("--max-depth", 350),
     "oracle": ("--oracle-cap", 14),
-    "series L<j>": ("--max-order", 400),
+    "series L<j>": ("--max-order", 700),
     "series F, C, B": ("--max-order", 1500),
     "check": ("--max-order", 150),
 }
@@ -286,7 +295,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, IndexError, RecursionError) as exc:
         _say(f"error: internal: {exc}", sys.stderr)
         return EXIT_DISAGREEMENT
-    _say(text, sys.stdout)
+    # output with no reader left keeps the verdict; output lost on its way
+    # to a reader (a full disk, say) is a failure
+    lost = _say(text, sys.stdout)
+    if lost is not None and not isinstance(lost, BrokenPipeError):
+        _say(f"error: cannot write the output: {lost}", sys.stderr)
+        return EXIT_DISAGREEMENT
     return verdict
 
 

@@ -31,16 +31,17 @@ composition) this module builds the named series the rest of the library
 consumes: the Fibonacci and Catalan generating functions, the generating
 function of level-step-2 Motzkin counts (``motzkin2_gf``), and the column
 generating functions of the rhombus (``column_gfs`` for columns 0 .. j at
-once, ``column_gf`` for one), each constructible by independent routes that
-the test suite compares coefficient by coefficient.
+once, ``column_gf`` for one by a binary power of the step between columns),
+each constructible by independent routes that the test suite compares
+coefficient by coefficient.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from itertools import accumulate, repeat
 from math import gcd, isqrt
 from operator import index, mul
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 __all__ = [
     "TruncatedSeries",
@@ -352,11 +353,9 @@ def motzkin2_gf(order: int, method: str = "closed_form") -> TruncatedSeries:
     raise ValueError(f"unknown method {method!r}; choose from {MOTZKIN2_METHODS}")
 
 
-def _columns(max_j: int, order: int, method: str) -> Iterator[TruncatedSeries]:
-    """L_0 .. L_max_j one at a time, holding only the running column (the
-    routes are described at :func:`column_gfs`)."""
-    if max_j < 0:
-        raise ValueError(f"column index must be >= 0, got {max_j}")
+def _column_base(order: int, method: str) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """L_0 and the step h with L_(j+1) = h L_j, both of ``order`` (the routes
+    are described at :func:`column_gfs`)."""
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
     if method == "closed_form":
@@ -364,19 +363,12 @@ def _columns(max_j: int, order: int, method: str) -> Iterator[TruncatedSeries]:
         f = fibonacci_gf(order + 1)
         h = f * catalan_gf(order + 1).compose(f * f)
         denom = TruncatedSeries.one(order + 1) - f * h * 2
-        column = (f * denom.reciprocal()).shift_div(1)
-        step = h.truncate(order)
-    elif method == "functional_equation":
+        return (f * denom.reciprocal()).shift_div(1), h.truncate(order)
+    if method == "functional_equation":
         b = motzkin2_gf(order, "functional_equation")
         denom = _fib_denominator(order) - TruncatedSeries.monomial(2, order) * b * 2
-        column = denom.reciprocal()
-        step = TruncatedSeries.monomial(1, order) * b
-    else:
-        raise ValueError(f"unknown method {method!r}; choose from {COLUMN_METHODS}")
-    yield column
-    for _ in range(max_j):
-        column = column * step
-        yield column
+        return denom.reciprocal(), TruncatedSeries.monomial(1, order) * b
+    raise ValueError(f"unknown method {method!r}; choose from {COLUMN_METHODS}")
 
 
 def column_gfs(max_j: int, order: int, method: str = "closed_form") -> list[TruncatedSeries]:
@@ -392,12 +384,19 @@ def column_gfs(max_j: int, order: int, method: str = "closed_form") -> list[Trun
       linear equation satisfied by the column generating function, so
       L_(j+1) = x B L_j.
     """
-    return list(_columns(max_j, order, method))
+    if max_j < 0:
+        raise ValueError(f"column index must be >= 0, got {max_j}")
+    column, step = _column_base(order, method)
+    return list(accumulate(repeat(step, max_j), mul, initial=column))
 
 
 def column_gf(j: int, order: int, method: str = "closed_form") -> TruncatedSeries:
-    """Generating function L_j of column j >= 0, the last of :func:`column_gfs`
-    built without keeping the columns before it.
+    """Generating function L_j = h^j L_0 of column j >= 0, from the L_0 and h of
+    :func:`column_gfs` by one binary power: about 2 log2(j) products, not j.
 
     L_j has valuation j, so from j = order on it is the zero series."""
-    return deque(_columns(min(j, order), order, method), maxlen=1).pop()
+    if j < 0:
+        raise ValueError(f"column index must be >= 0, got {j}")
+    column, step = _column_base(order, method)
+    # the power goes on the left, whose trailing zeros __mul__ drops: j = 0 costs O(order)
+    return step ** min(j, order) * column

@@ -461,26 +461,57 @@ def test_closed_stdout_leaks_no_descriptor(monkeypatch):
         assert len(os.listdir("/proc/self/fd")) == before
 
 
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+
+
+def run_unwritable(argv, fd, kind):
+    """The CLI run with its descriptor ``fd`` (1 or 2) unwritable: a pipe
+    whose reader has gone before the first write, a descriptor closed before
+    start, or a device that is always full.  The other stream is captured."""
+    preexec = None
+    if kind == "gone-pipe":
+        read_end, target = os.pipe()
+        os.close(read_end)
+    elif kind == "full":
+        target = os.open("/dev/full", os.O_WRONLY)
+    else:
+        target = None
+        preexec = lambda: os.close(fd)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    streams["stdout" if fd == 1 else "stderr"] = target
+    try:
+        return subprocess.run([sys.executable, "-m", "pascal_rhombus", *argv],
+                              preexec_fn=preexec, timeout=60, **streams)
+    finally:
+        if target is not None:
+            os.close(target)
+
+
+@pytest.mark.parametrize("kind", ["gone-pipe", "closed", pytest.param("full", marks=needs_dev_full)])
 @pytest.mark.parametrize("argv, code, out", [
     (["entry", "35", "0", "--method", "all"], 0, b"119511225134954688\n" * 4),
     (["entry", "-1", "0"], 2, b""),
     (["series", "Q"], 2, b""),
 ], ids=["entry-all-skipping", "entry-negative-row", "series-unknown"])
-def test_closed_stderr_keeps_the_verdict(argv, code, out):
-    # stderr is a pipe whose reader has gone before the first message
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "pascal_rhombus", *argv],
-            stdout=subprocess.PIPE,
-            stderr=write_end,
-            timeout=60,
-        )
-    finally:
-        os.close(write_end)
+def test_closed_stderr_keeps_the_verdict(argv, code, out, kind):
+    proc = run_unwritable(argv, 2, kind)
     assert proc.returncode == code
     assert proc.stdout == out
+
+
+@pytest.mark.parametrize("kind, code", [
+    ("gone-pipe", 0), ("closed", 0), pytest.param("full", 1, marks=needs_dev_full),
+])
+def test_unwritable_stdout(kind, code):
+    # with no reader left the verdict stands; output lost on its way to a
+    # reader is a failure, told in one line and no traceback
+    proc = run_unwritable(["row", "5"], 1, kind)
+    assert proc.returncode == code
+    if code:
+        assert proc.stderr.startswith(b"error: cannot write the output: ")
+        assert proc.stderr.count(b"\n") == 1
+    else:
+        assert proc.stderr == b""
 
 
 def test_exact_decimals_past_the_digit_limit():

@@ -404,10 +404,38 @@ def test_column_gf_rejects_bad_arguments():
 
 @pytest.mark.parametrize("method", COLUMN_METHODS)
 def test_column_gfs_are_the_single_columns(method):
-    columns = column_gfs(8, 20, method)
-    assert len(columns) == 9
-    assert columns == [column_gf(j, 20, method) for j in range(9)]
+    # h^j L_0 by one binary power is h (... (h L_0)) by successive products:
+    # equal at every j, so through many bit patterns of j, and past the order
+    order = 40
+    columns = column_gfs(order + 2, order, method)
+    assert len(columns) == order + 3
+    assert columns == [column_gf(j, order, method) for j in range(order + 3)]
     assert columns[3].integer_coefficients()[3:10] == COLUMN3
+
+
+def count_products(monkeypatch, build):
+    """The number of series-by-series products that ``build()`` makes."""
+    products = 0
+    plain_mul = TruncatedSeries.__mul__
+
+    def counting_mul(self, other):
+        nonlocal products
+        products += isinstance(other, TruncatedSeries)
+        return plain_mul(self, other)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(TruncatedSeries, "__mul__", counting_mul)
+        build()
+    return products
+
+
+@pytest.mark.parametrize("method", COLUMN_METHODS)
+@pytest.mark.parametrize("j", [1, 8, 31, 39])
+def test_lone_column_takes_logarithmically_many_products(monkeypatch, method, j):
+    # one power of the step, not one product per column before j
+    base = count_products(monkeypatch, lambda: column_gf(0, 40, method))
+    lone = count_products(monkeypatch, lambda: column_gf(j, 40, method))
+    assert lone - base <= 2 * j.bit_length()
 
 
 @pytest.mark.parametrize("method", COLUMN_METHODS)
