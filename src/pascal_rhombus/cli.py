@@ -99,7 +99,7 @@ ROUTES: dict[str, Callable[[int, int], int]] = {
 # one request takes about 4-7 s on CPython 3.11, 2-CPU x86-64 (row 3000,
 # entry 4500 0 --method triple_sum, entry 350 0 --method convolved; series
 # B or C --order 1500 about 2 s, series L<j> --order 700 about 3-4 s for
-# every j), check about 0.4 s and the oracle's walk under 1 s.
+# every j), check about 0.2 s and the oracle's walk under 1 s.
 REACH: dict[str, tuple[str, int]] = {
     "recurrence": ("--max-depth", 3000),
     "triple_sum": ("--max-depth", 4500),

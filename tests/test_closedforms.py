@@ -72,6 +72,40 @@ def test_triple_sum_deep_matches_recurrence():
     assert entry_triple_sum(600, 601) == entry_triple_sum(600, -601) == 0
 
 
+def test_lone_cold_entry_sums_only_the_inner_sums_it_needs():
+    inner = closedforms._inner_sum
+    inner.cache_clear()
+    entry_triple_sum(400, 390)
+    assert (inner.cache_info().misses, inner.cache_info().currsize) == (6, 6)
+    # k = 10, 8, ..., 0 are the six it kept
+    for k in range(10, -1, -2):
+        inner(400, k)
+    assert inner.cache_info()[:2] == (6, 6)
+
+
+def test_entries_after_clearing_the_cache_are_unchanged():
+    points = [(i, j) for i in (0, 1, 7, 30, 120) for j in range(-i - 1, i + 2)]
+    warm = [entry_triple_sum(*point) for point in points]
+    closedforms._inner_sum.cache_clear()
+    assert [entry_triple_sum(*point) for point in points] == warm
+
+
+def test_inner_sum_cache_stays_within_its_bound():
+    inner, bound = closedforms._inner_sum, closedforms._INNER_SUMS_KEPT
+    inner.cache_clear()
+    # j = 0 and 1 sum every S_i(k) of row i; go on until past the bound
+    i = 0
+    while inner.cache_info().misses <= bound:
+        entry_triple_sum(i, 0)
+        entry_triple_sum(i, 1)
+        i += 1
+    assert inner.cache_info().currsize == inner.cache_parameters()["maxsize"] == bound
+    # a row the cache let go of, and one it keeps, still read right
+    for n, row in enumerate(iter_rows(i - 1)):
+        if n in (2, i - 1):
+            assert [entry_triple_sum(n, j) for j in range(-n, n + 1)] == row
+
+
 def test_convolved_prefix_grows_by_doubling(monkeypatch):
     builds = {}
     build = closedforms.convolved_fib_series

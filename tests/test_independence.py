@@ -21,7 +21,8 @@ PACKAGE = Path(cli.__file__).parent
 
 def function_labels():
     """``module.qualname`` of every function defined in the package, keyed by
-    its code and by the code nested in it (comprehensions, inner functions)."""
+    its code and by the code nested in it (comprehensions, inner functions);
+    a cached function is labelled by the function it wraps."""
     labels = {}
 
     def add(code, label):
@@ -35,6 +36,7 @@ def function_labels():
             members = vars(value).values() if isinstance(value, type) else [value]
             for member in members:
                 func = getattr(member, "__func__", getattr(member, "fget", member))
+                func = getattr(func, "__wrapped__", func)
                 code = getattr(func, "__code__", None)
                 if code is not None and getattr(func, "__module__", None) == module.__name__:
                     add(code, f"{short}.{func.__qualname__}")
@@ -68,11 +70,15 @@ def footprint(method, labels, i=9, j=3):
 
 
 def test_no_route_reaches_another(monkeypatch):
-    # a cold prefix cache, so the convolved route shows every function it uses
-    monkeypatch.setattr(closedforms, "_conv_prefix_cache", {}, raising=False)
     labels = function_labels()
     shared = kernel(labels)
-    reached = {method: footprint(method, labels) for method in cli.ROUTES}
+    reached = {}
+    for method in cli.ROUTES:
+        # cold caches, so each route shows every function it uses, even one
+        # an earlier route filled a cache through
+        monkeypatch.setattr(closedforms, "_conv_prefix_cache", {}, raising=False)
+        closedforms._inner_sum.cache_clear()
+        reached[method] = footprint(method, labels)
     own = {"recurrence": "rhombus.iter_rows", "triple_sum": "closedforms.entry_triple_sum",
            "convolved": "closedforms.entry_convolved", "series": "series.column_gf",
            "oracle": "paths.walk_paths"}
@@ -82,6 +88,7 @@ def test_no_route_reaches_another(monkeypatch):
         for b in reached:
             crossed = (reached[a] & reached[b]) - shared
             assert a == b or not crossed, f"{a} and {b} both call {sorted(crossed)}"
+    assert [m for m, called in reached.items() if "closedforms._inner_sum" in called] == ["triple_sum"]
     # the Gould sum is a reindexed triple sum
     assert "closedforms.convolved_fib_gould" not in reached["convolved"]
 

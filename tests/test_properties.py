@@ -36,6 +36,11 @@ def entries_past_the_sweep(draw):
     return i, draw(st.integers(-i - 2, i + 2))
 
 
+# (i, j) with i <= 120 and |j| up to two past the row's edge
+warm_points = st.lists(st.integers(0, 120).flatmap(
+    lambda i: st.tuples(st.just(i), st.integers(-i - 2, i + 2))), max_size=40)
+
+
 @st.composite
 def rows_and_indices(draw):
     n = draw(st.integers(1, 2000))
@@ -105,6 +110,14 @@ def untrimmed_horner(outer, inner):
 def test_routes_agree_past_the_sweep(point):
     i, j = point
     assert build_table(i).entry(i, j) == entry_triple_sum(i, j) == entry_convolved(i, j)
+
+
+@settings(exact, max_examples=40)
+@given(warm_points)
+def test_triple_sum_answered_warm_in_any_order_is_the_recurrence(points):
+    # the inner-sum cache is left as earlier examples and tests filled it
+    table = build_table(120)
+    assert [entry_triple_sum(i, j) for i, j in points] == [table.entry(i, j) for i, j in points]
 
 
 @settings(exact, max_examples=200)
