@@ -11,8 +11,14 @@ into another):
 * the entry formula combining binomials with convolved Fibonacci numbers.
 
 Their binomials are `math.comb` in its support, stepped by exact term ratios
-in the triple sum, whose inner sums are cached; :func:`binomial` adds
-C(n, k) = 0 for k < 0 or k > n.
+in the triple sum; :func:`binomial` adds C(n, k) = 0 for k < 0 or k > n.
+
+Both entry formulas have one shape: entry (i, j) = Σ_m C(j + 2m, m) V_i(m),
+a weight that depends on j alone times a value that depends on the row
+alone (an inner sum of the triple sum, or a convolved Fibonacci number on
+antidiagonal i + 1).  So each route caches its weights in blocks by j and
+its values by row, each route its own caches under a fixed bound, and a
+warm call is one dot product of the two.
 
 Entries at negative j are evaluated at |j|; the recurrence is left-right
 symmetric and the equality of both halves is verified numerically
@@ -21,8 +27,11 @@ elsewhere rather than assumed here.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from functools import lru_cache
+from itertools import chain, repeat
 from math import comb
+from operator import mul
 
 from .series import TruncatedSeries
 
@@ -61,6 +70,24 @@ def _inner_sum(i: int, k: int) -> int:
     return total
 
 
+# the binomial weights C(j + 2m, m) of both routes are cached in blocks of
+# this many consecutive m, each route its own
+_WEIGHTS_PER_BLOCK = 64
+_TRIPLE_WEIGHT_BLOCKS_KEPT = 256
+
+
+@lru_cache(maxsize=_TRIPLE_WEIGHT_BLOCKS_KEPT)
+def _triple_weights(j: int, block: int) -> tuple[int, ...]:
+    m = block * _WEIGHTS_PER_BLOCK
+    outer = comb(j + 2 * m, m)
+    weights = [outer]
+    for m in range(m, m + _WEIGHTS_PER_BLOCK - 1):
+        a = j + 2 * m
+        outer = outer * ((a + 1) * (a + 2)) // ((m + 1) * (j + m + 1))
+        weights.append(outer)
+    return tuple(weights)
+
+
 def entry_triple_sum(i: int, j: int) -> int:
     """Entry (i, j) as a double sum of three binomial factors.
 
@@ -69,23 +96,25 @@ def entry_triple_sum(i: int, j: int) -> int:
     terms C(l + i - k, l) C(l, k - l) start at C(i, k), l = k, and step down
     in l by their ratio u (u - 1) / ((i - v + 1) v), v = k - l + 1, u = 2l - k;
     C(a, m) steps by (a + 1)(a + 2) / ((m + 1)(j + m + 1)).  Each `//` is
-    exact, as it yields the next term, an integer.  A least-recently-used
-    cache keeps the last ``_INNER_SUMS_KEPT`` = 2^14 S_i(k), each summed once
-    from row i's binomials and only when a call needs it: under 1 KB each at
-    i = 4500, this route's reach, so at most about 16 MB.
+    exact, as it yields the next term, an integer.  A warm call is one dot
+    product of two cached vectors, the weights C(a, m) and the S_i(k).
+
+    A least-recently-used cache keeps the last ``_INNER_SUMS_KEPT`` = 2^14
+    S_i(k), each summed once from row i's binomials and only when a call
+    needs it: under 1 KB each at i = 4500, this route's reach, so at most
+    about 16 MB.  Another keeps the last ``_TRIPLE_WEIGHT_BLOCKS_KEPT`` = 256
+    blocks of 64 weights C(a, m), one j and 64 consecutive m each, filled
+    whole from one `comb` by the ratio above: under 42 KB a block for any
+    entry up to i = 4500, so at most about 11 MB.
     """
     if i < 0:
         raise ValueError(f"row index must be >= 0, got {i}")
     j = abs(j)
     if j > i:
         return 0
-    total = 0
-    outer = 1
-    for m, k in enumerate(range(i - j, -1, -2)):
-        total += outer * _inner_sum(i, k)
-        a = j + 2 * m
-        outer = outer * ((a + 1) * (a + 2)) // ((m + 1) * (j + m + 1))
-    return total
+    blocks = range((i - j) // (2 * _WEIGHTS_PER_BLOCK) + 1)
+    weights = chain.from_iterable(map(_triple_weights, repeat(j), blocks))
+    return sum(map(mul, weights, map(_inner_sum, repeat(i), range(i - j, -1, -2))))
 
 
 def convolved_fib_series(r: int, count: int) -> list[int]:
@@ -152,9 +181,14 @@ def convolved_fib_product(j: int, r: int) -> int:
     return total
 
 
-# convolved-Fibonacci prefixes reused across entry_convolved calls; values
-# are immutable tuples, so a racing rebuild is wasted work, not corruption
-_conv_prefix_cache: dict[int, tuple[int, ...]] = {}
+# the convolved route's cache of the triangle a_r(n), coefficient n of
+# (1 - x - x^2)^(-r): each depth r's prefix, and under _TAILS the tails of
+# its antidiagonals, which are copied from the prefixes and so are dropped
+# with them.  Values are immutable tuples, replaced whole, so a racing
+# rebuild is wasted work, not corruption
+_conv_prefix_cache: dict = {}
+_TAILS = "antidiagonal tails"
+_ANTIDIAGONALS_KEPT = 512
 
 
 def _convolved_prefix(r: int, count: int) -> tuple[int, ...]:
@@ -166,15 +200,57 @@ def _convolved_prefix(r: int, count: int) -> tuple[int, ...]:
     return cached
 
 
+def _antidiagonal(s: int, low: int) -> tuple[int, ...]:
+    # a_r(n) for r = low, low + 2, ... up to s, n = s - r: one parity of
+    # antidiagonal s, from depth low on.  Tails are kept by (s, parity of r),
+    # the _ANTIDIAGONALS_KEPT last begun, and grow only as far down as a
+    # call reads
+    tails = _conv_prefix_cache.get(_TAILS)
+    if tails is None:
+        tails = _conv_prefix_cache.setdefault(_TAILS, OrderedDict())
+    key = (s, low % 2)
+    cached = tails.get(key, ())
+    missing = (s - low) // 2 + 1 - len(cached)
+    if missing <= 0:
+        return cached[-missing:]
+    fresh = [_convolved_prefix(r, s - r + 1)[s - r] for r in range(low, low + 2 * missing, 2)]
+    cached = tails[key] = tuple(fresh) + cached
+    if len(tails) > _ANTIDIAGONALS_KEPT:
+        tails.popitem(last=False)
+    return cached
+
+
+_CONVOLVED_WEIGHT_BLOCKS_KEPT = 512
+
+
+@lru_cache(maxsize=_CONVOLVED_WEIGHT_BLOCKS_KEPT)
+def _convolved_weights(j: int, block: int) -> tuple[int, ...]:
+    start = block * _WEIGHTS_PER_BLOCK
+    return tuple(binomial(j + 2 * m, m) for m in range(start, start + _WEIGHTS_PER_BLOCK))
+
+
 def entry_convolved(i: int, j: int) -> int:
-    """Entry (i, j) as a binomial-weighted sum of convolved Fibonacci numbers."""
+    """Entry (i, j) as a binomial-weighted sum of convolved Fibonacci numbers.
+
+    The sum over m of C(j + 2m, m) a_r(n), r = |j| + 2m + 1, n = i - |j| - 2m,
+    where a_r(n) is coefficient n of (1 - x - x^2)^(-r) (OEIS A037027, read
+    by columns).  Every a_r(n) of row i lies on the antidiagonal r + n =
+    i + 1, and those of one call on one parity of r, so a warm call is one
+    dot product of two cached vectors: the weights C(j + 2m, m) and the
+    antidiagonal's tail from r = |j| + 1.  The tail is read from the cached
+    series prefixes of (1 - x - x^2)^(-r), and only where a call needs it.
+
+    The last ``_ANTIDIAGONALS_KEPT`` = 512 tails begun are kept: at most
+    176 values, under 14 KB, at i = 350, this route's reach, so at most
+    about 7 MB.  A least-recently-used cache keeps the last
+    ``_CONVOLVED_WEIGHT_BLOCKS_KEPT`` = 512 blocks of 64 weights, one j and
+    64 consecutive m each: under 6 KB a block up to i = 350, so under 3 MB.
+    """
     if i < 0:
         raise ValueError(f"row index must be >= 0, got {i}")
     j = abs(j)
     if j > i:
         return 0
-    total = 0
-    for m in range((i - j) // 2 + 1):
-        prefix = _convolved_prefix(j + 2 * m + 1, i - j - 2 * m + 1)
-        total += binomial(2 * m + j, m) * prefix[i - j - 2 * m]
-    return total
+    blocks = range((i - j) // (2 * _WEIGHTS_PER_BLOCK) + 1)
+    weights = chain.from_iterable(map(_convolved_weights, repeat(j), blocks))
+    return sum(map(mul, weights, _antidiagonal(i + 1, j + 1)))

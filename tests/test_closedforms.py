@@ -84,9 +84,10 @@ def test_lone_cold_entry_sums_only_the_inner_sums_it_needs():
 
 
 def test_entries_after_clearing_the_cache_are_unchanged():
-    points = [(i, j) for i in (0, 1, 7, 30, 120) for j in range(-i - 1, i + 2)]
+    points = [(i, j) for i in (0, 1, 7, 30, 120, 300) for j in range(-i - 1, i + 2)]
     warm = [entry_triple_sum(*point) for point in points]
     closedforms._inner_sum.cache_clear()
+    closedforms._triple_weights.cache_clear()
     assert [entry_triple_sum(*point) for point in points] == warm
 
 
@@ -104,6 +105,70 @@ def test_inner_sum_cache_stays_within_its_bound():
     for n, row in enumerate(iter_rows(i - 1)):
         if n in (2, i - 1):
             assert [entry_triple_sum(n, j) for j in range(-n, n + 1)] == row
+
+
+def test_triple_weight_cache_stays_within_its_bound():
+    weights, bound = closedforms._triple_weights, closedforms._TRIPLE_WEIGHT_BLOCKS_KEPT
+    weights.cache_clear()
+    # (j, j) reads block 0 of column j alone; go on until past the bound
+    for j in range(bound + 2):
+        assert entry_triple_sum(j, j) == 1
+    assert weights.cache_info().currsize == weights.cache_parameters()["maxsize"] == bound
+    # whole blocks of every column, an evicted one among them, still read right
+    row = list(iter_rows(300))[-1]
+    assert [entry_triple_sum(300, j) for j in range(-300, 301)] == row
+
+
+def test_lone_cold_convolved_entry_asks_only_for_the_prefixes_it_needs(monkeypatch):
+    asked = []
+
+    def uncached(r, count):
+        asked.append((r, count))
+        return tuple(convolved_fib_series(r, count))
+
+    monkeypatch.setattr(closedforms, "_conv_prefix_cache", {})
+    monkeypatch.setattr(closedforms, "_convolved_prefix", uncached)
+    i, j = 40, 7
+    entry_convolved(i, j)
+    # the (r, count) pairs of the sum over m, in its order
+    assert asked == [(j + 2 * m + 1, i - j - 2 * m + 1) for m in range((i - j) // 2 + 1)]
+    asked.clear()
+    # the same entry, and one further out on its antidiagonal, ask for nothing
+    entry_convolved(i, -j)
+    entry_convolved(i, j + 2)
+    assert asked == []
+    # a smaller j of the same parity reads on down the same antidiagonal
+    entry_convolved(i, 3)
+    assert asked == [(4, 38), (6, 36)]
+
+
+def test_antidiagonal_tails_stay_within_their_bound(monkeypatch):
+    bound = closedforms._ANTIDIAGONALS_KEPT
+    monkeypatch.setattr(closedforms, "_conv_prefix_cache", {})
+    # (i, i) and (i, i - 1) read one value each, of the two parities of
+    # antidiagonal i + 1; go on until past the bound
+    for i in range(bound // 2 + 1):
+        assert entry_convolved(i, i) == 1
+        assert entry_convolved(i, i - 1) == i
+    tails = closedforms._conv_prefix_cache[closedforms._TAILS]
+    assert len(tails) == bound and (1, 1) not in tails
+    # row 0, whose tail went first, and a row whose tails are kept but short
+    # still read right
+    for n, row in enumerate(iter_rows(30)):
+        if n in (0, 30):
+            assert [entry_convolved(n, j) for j in range(-n, n + 1)] == row
+
+
+def test_convolved_weight_cache_stays_within_its_bound(monkeypatch):
+    weights, bound = closedforms._convolved_weights, closedforms._CONVOLVED_WEIGHT_BLOCKS_KEPT
+    weights.cache_clear()
+    monkeypatch.setattr(closedforms, "_conv_prefix_cache", {})
+    # (j, j) reads block 0 of column j alone; go on until past the bound
+    for j in range(bound + 2):
+        assert entry_convolved(j, j) == 1
+    assert weights.cache_info().currsize == weights.cache_parameters()["maxsize"] == bound
+    # column 0's block 0, the first let go of, and its block 1 read right
+    assert entry_convolved(140, 0) == entry_triple_sum(140, 0)
 
 
 def test_convolved_prefix_grows_by_doubling(monkeypatch):

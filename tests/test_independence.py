@@ -75,9 +75,12 @@ def test_no_route_reaches_another(monkeypatch):
     reached = {}
     for method in cli.ROUTES:
         # cold caches, so each route shows every function it uses, even one
-        # an earlier route filled a cache through
+        # an earlier route filled a cache through; the antidiagonal tails
+        # live in the convolved prefix cache
         monkeypatch.setattr(closedforms, "_conv_prefix_cache", {}, raising=False)
-        closedforms._inner_sum.cache_clear()
+        for cached in (closedforms._inner_sum, closedforms._triple_weights,
+                       closedforms._convolved_weights):
+            cached.cache_clear()
         reached[method] = footprint(method, labels)
     own = {"recurrence": "rhombus.iter_rows", "triple_sum": "closedforms.entry_triple_sum",
            "convolved": "closedforms.entry_convolved", "series": "series.column_gf",
@@ -88,7 +91,9 @@ def test_no_route_reaches_another(monkeypatch):
         for b in reached:
             crossed = (reached[a] & reached[b]) - shared
             assert a == b or not crossed, f"{a} and {b} both call {sorted(crossed)}"
-    assert [m for m, called in reached.items() if "closedforms._inner_sum" in called] == ["triple_sum"]
+    for helper, method in (("_inner_sum", "triple_sum"), ("_triple_weights", "triple_sum"),
+                           ("_convolved_weights", "convolved"), ("_antidiagonal", "convolved")):
+        assert [m for m, called in reached.items() if f"closedforms.{helper}" in called] == [method]
     # the Gould sum is a reindexed triple sum
     assert "closedforms.convolved_fib_gould" not in reached["convolved"]
 

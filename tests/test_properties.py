@@ -114,10 +114,13 @@ def test_routes_agree_past_the_sweep(point):
 
 @settings(exact, max_examples=40)
 @given(warm_points)
-def test_triple_sum_answered_warm_in_any_order_is_the_recurrence(points):
-    # the inner-sum cache is left as earlier examples and tests filled it
+def test_closed_forms_answered_warm_in_any_order_are_the_recurrence(points):
+    # the caches, the inner sums and the antidiagonal tails among them, are
+    # left as earlier examples and tests filled them, in whatever order
     table = build_table(120)
-    assert [entry_triple_sum(i, j) for i, j in points] == [table.entry(i, j) for i, j in points]
+    want = [table.entry(i, j) for i, j in points]
+    assert [entry_triple_sum(i, j) for i, j in points] == want
+    assert [entry_convolved(i, j) for i, j in points] == want
 
 
 @settings(exact, max_examples=200)
