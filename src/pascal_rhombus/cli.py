@@ -8,8 +8,7 @@ coefficients of the named generating functions F, C, B, L<j>) and ``check``
 Each route, and each command that builds series, is capped by one flag whose
 default comes from ``REACH``; a request past its cap is refused before any
 work (``entry --method all`` skips that route with a note on stderr).  The
-caps are this module's policy: the library routes take none.  Only the
-sweep of ``check --max-i`` has no cap.
+caps are this module's policy: the library routes take none.
 
 Values go to stdout as exact decimal strings, diagnostics go to stderr.
 Exit codes: 0 all good (also when the reader closes the pipe early or
@@ -95,11 +94,12 @@ ROUTES: dict[str, Callable[[int, int], int]] = {
 # The reach of each route, and of each command that builds series: the flag
 # that caps it and that flag's default.  A route's row, keyed by its method,
 # caps the row index (row and column read the recurrence's); the series
-# method reads the row of series L<j> at its order, i + 1.  At a default
-# one request takes about 4-7 s on CPython 3.11, 2-CPU x86-64 (row 3000,
-# entry 4500 0 --method triple_sum, entry 350 0 --method convolved; series
-# B or C --order 1500 about 2 s, series L<j> --order 700 about 3-4 s for
-# every j), check about 0.2 s and the oracle's walk under 1 s.
+# method reads the row of series L<j> at its order, i + 1, and check's
+# sweep every row up to --max-i.  At a default one request takes about
+# 4-7 s on CPython 3.11, 2-CPU x86-64 (row 3000, entry 4500 0 --method
+# triple_sum, entry 350 0 --method convolved, check --max-i 200; series B
+# or C --order 1500 about 2 s, series L<j> --order 700 about 3-4 s for every
+# j), check --order 150 about 0.2 s and the oracle's walk under 1 s.
 REACH: dict[str, tuple[str, int]] = {
     "recurrence": ("--max-depth", 3000),
     "triple_sum": ("--max-depth", 4500),
@@ -108,6 +108,7 @@ REACH: dict[str, tuple[str, int]] = {
     "series L<j>": ("--max-order", 700),
     "series F, C, B": ("--max-order", 1500),
     "check": ("--max-order", 150),
+    "check --max-i": ("--max-depth", 200),
 }
 # each cap flag: how its refusal names the request, how the cost grows, and
 # its largest value (one byte per path holds heights within +-MAX_LENGTH
@@ -209,6 +210,7 @@ def _cmd_series(args: argparse.Namespace) -> tuple[int, str]:
 
 def _cmd_check(args: argparse.Namespace) -> tuple[int, str]:
     _in_range("--max-i", args.max_i, 1)
+    _reach("check --max-i", args.max_i, args)
     _in_range("--order", args.order, 1)
     _reach("check", args.order, args)
     _in_range("--max-oracle-n", args.max_oracle_n, 0)
@@ -274,6 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--max-oracle-n", type=int, default=12)
     p_check.add_argument("--order", type=int, default=30)
     add_cap(p_check, "check")
+    add_cap(p_check, "check --max-i")
     add_cap(p_check, "oracle")
     p_check.set_defaults(func=_cmd_check)
 

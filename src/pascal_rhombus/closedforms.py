@@ -16,9 +16,10 @@ in the triple sum; :func:`binomial` adds C(n, k) = 0 for k < 0 or k > n.
 Both entry formulas have one shape: entry (i, j) = Σ_m C(j + 2m, m) V_i(m),
 a weight that depends on j alone times a value that depends on the row
 alone (an inner sum of the triple sum, or a convolved Fibonacci number on
-antidiagonal i + 1).  So each route caches its weights in blocks by j and
-its values by row, each route its own caches under a fixed bound, and a
-warm call is one dot product of the two.
+antidiagonal i + 1), and a call reads one parity of its row's values.  So
+each route caches its weights in blocks by j and its values as tails by
+(row, parity), each its own caches under a fixed bound, and a warm call is
+one lookup and one dot product of the two.
 
 Entries at negative j are evaluated at |j|; the recurrence is left-right
 symmetric and the equality of both halves is verified numerically
@@ -32,6 +33,7 @@ from functools import lru_cache
 from itertools import chain, repeat
 from math import comb
 from operator import mul
+from threading import Lock
 
 from .series import TruncatedSeries
 
@@ -58,16 +60,39 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k) if k >= 0 else 0
 
 
+# the triple sum's row tails (S_i(top), S_i(top - 2), ..., S_i(top mod 2)),
+# keyed by (i, parity of k) and grown toward larger k only as far as a call
+# reads.  A grown tail is replaced whole and moved last (assigning to a kept
+# key would leave it in place), and the least recently grown go first once
+# more than _INNER_SUMS_KEPT sums are held; the lock keeps that count exact
 _INNER_SUMS_KEPT = 1 << 14
+_inner_sum_tails: OrderedDict = OrderedDict()
+_inner_sums_held = 0
+_inner_sums_lock = Lock()
 
 
-@lru_cache(maxsize=_INNER_SUMS_KEPT)
 def _inner_sum(i: int, k: int) -> int:
     term = total = comb(i, k)
     for v, u in enumerate(range(k, 1, -2), 1):
         term = term * (u * (u - 1)) // ((i - v + 1) * v)
         total += term
     return total
+
+
+def _inner_sum_tail(i: int, top: int) -> tuple[int, ...]:
+    global _inner_sums_held
+    key = (i, top % 2)
+    cached = _inner_sum_tails.get(key, ())
+    missing = top // 2 + 1 - len(cached)
+    if missing <= 0:
+        return cached[-missing:]
+    cached = tuple(map(_inner_sum, repeat(i), range(top, top - 2 * missing, -2))) + cached
+    with _inner_sums_lock:
+        _inner_sums_held += len(cached) - len(_inner_sum_tails.pop(key, ()))
+        _inner_sum_tails[key] = cached
+        while _inner_sums_held > _INNER_SUMS_KEPT:
+            _inner_sums_held -= len(_inner_sum_tails.popitem(last=False)[1])
+    return cached
 
 
 # the binomial weights C(j + 2m, m) of both routes are cached in blocks of
@@ -96,14 +121,15 @@ def entry_triple_sum(i: int, j: int) -> int:
     terms C(l + i - k, l) C(l, k - l) start at C(i, k), l = k, and step down
     in l by their ratio u (u - 1) / ((i - v + 1) v), v = k - l + 1, u = 2l - k;
     C(a, m) steps by (a + 1)(a + 2) / ((m + 1)(j + m + 1)).  Each `//` is
-    exact, as it yields the next term, an integer.  A warm call is one dot
-    product of two cached vectors, the weights C(a, m) and the S_i(k).
+    exact, as it yields the next term, an integer.  A warm call is one lookup
+    of row i's tail of S_i(k), one parity of k, and one dot product with the
+    cached weights C(a, m).
 
-    A least-recently-used cache keeps the last ``_INNER_SUMS_KEPT`` = 2^14
-    S_i(k), each summed once from row i's binomials and only when a call
-    needs it: under 1 KB each at i = 4500, this route's reach, so at most
-    about 16 MB.  Another keeps the last ``_TRIPLE_WEIGHT_BLOCKS_KEPT`` = 256
-    blocks of 64 weights C(a, m), one j and 64 consecutive m each, filled
+    Each S_i(k) is summed once from row i's binomials, when a call first
+    reads it; the tails hold at most ``_INNER_SUMS_KEPT`` = 2^14 sums, under
+    1 KB each at i = 4500, this route's reach, so at most about 16 MB.  A
+    least-recently-used cache keeps the last ``_TRIPLE_WEIGHT_BLOCKS_KEPT`` =
+    256 blocks of 64 weights C(a, m), one j and 64 consecutive m each, filled
     whole from one `comb` by the ratio above: under 42 KB a block for any
     entry up to i = 4500, so at most about 11 MB.
     """
@@ -114,7 +140,7 @@ def entry_triple_sum(i: int, j: int) -> int:
         return 0
     blocks = range((i - j) // (2 * _WEIGHTS_PER_BLOCK) + 1)
     weights = chain.from_iterable(map(_triple_weights, repeat(j), blocks))
-    return sum(map(mul, weights, map(_inner_sum, repeat(i), range(i - j, -1, -2))))
+    return sum(map(mul, weights, _inner_sum_tail(i, i - j)))
 
 
 def convolved_fib_series(r: int, count: int) -> list[int]:
@@ -215,7 +241,7 @@ def _antidiagonal(s: int, low: int) -> tuple[int, ...]:
         return cached[-missing:]
     fresh = [_convolved_prefix(r, s - r + 1)[s - r] for r in range(low, low + 2 * missing, 2)]
     cached = tails[key] = tuple(fresh) + cached
-    if len(tails) > _ANTIDIAGONALS_KEPT:
+    while len(tails) > _ANTIDIAGONALS_KEPT:
         tails.popitem(last=False)
     return cached
 

@@ -85,7 +85,7 @@ def test_criterion_03_path_counts_equal_entries_to_12():
             counts = count_by_height(n)
             for j in range(-n, n + 1):
                 assert counts.get(j, 0) == table.entry(n, j)
-    assert watch.elapsed < 60.0
+    assert watch.elapsed < 1.0
     report(3, "exhaustive height counts equal table entries for n <= 12", watch)
 
 
@@ -151,7 +151,7 @@ def test_criterion_08_cross_method_sweep_to_40():
                 assert entry_convolved(i, j) == reference
                 if abs(j) <= 6:
                     assert columns[abs(j)][i] == reference
-    assert watch.elapsed < 10.0
+    assert watch.elapsed < 1.0
     report(8, "recurrence, triple sum, convolved and series agree to i = 40", watch)
 
 
@@ -160,7 +160,7 @@ def test_criterion_09_depth_500_scale():
         table = build_table(500)
     central = table.entry(500, 0)
     assert int(str(central)) == central
-    assert watch.elapsed < 5.0
+    assert watch.elapsed < 1.0
     report(9, f"depth-500 table built, central entry has {len(str(central))} digits", watch)
 
 
@@ -174,13 +174,13 @@ def test_criterion_10_column_integrality():
 
 
 def test_closed_form_column_at_order_200_is_fast():
-    # int products take this well under 1 s; the gate leaves room for a
-    # slow host
+    # int products take this in about 0.1 s; the gate leaves ten times that
+    # for a slow host
     with Stopwatch() as watch:
         column = column_gf(1, 200, "closed_form")
     assert column.coeffs[1:9] == tuple(GOLDEN_COLUMNS[1])
-    assert watch.elapsed < 5.0
-    report("gate", "closed-form column 1 to order 200 in under 5 s", watch)
+    assert watch.elapsed < 1.0
+    report("gate", "closed-form column 1 to order 200 in under 1 s", watch)
 
 
 def test_check_command_defaults_all_pass(capsys):

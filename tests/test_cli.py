@@ -271,10 +271,14 @@ def test_max_order_moves_the_cap(capsys):
     (["entry", str(cap("convolved") + 1), "2", "--method", "convolved"], cap("convolved") + 1,
      "convolved"),
     (["entry", "5000", "0", "--method", "convolved"], 5000, "convolved"),
+    (["check", "--max-i", str(cap("check --max-i") + 1)], cap("check --max-i") + 1,
+     "check --max-i"),
+    (["check", "--max-i", "100000"], 100000, "check --max-i"),
 ], ids=["row", "row-1e9", "column", "entry", "entry-recurrence", "entry-triple_sum",
-        "entry-triple_sum-1e9", "entry-convolved", "entry-convolved-5000"])
+        "entry-triple_sum-1e9", "entry-convolved", "entry-convolved-5000", "check",
+        "check-100000"])
 def test_depth_above_the_cap_is_refused_at_once(capsys, monkeypatch, argv, depth, row):
-    for name in ("iter_rows", "entry_triple_sum", "entry_convolved"):
+    for name in ("iter_rows", "entry_triple_sum", "entry_convolved", "run_all"):
         monkeypatch.setattr(cli, name, never)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
@@ -302,6 +306,11 @@ def test_max_depth_moves_the_cap(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "column", "1", "--terms", "4", "--max-depth", "3")
     assert code == 2
     assert "row 4 is past --max-depth 3" in err
+    check = ["check", "--max-oracle-n", "0", "--order", "10", "--max-depth", "8"]
+    assert run_cli(capsys, *check, "--max-i", "8")[0] == 0
+    code, _, err = run_cli(capsys, *check, "--max-i", "9")
+    assert code == 2
+    assert err.startswith("error: row 9 is past --max-depth 8;")
     # an explicit --max-depth caps all three row-index routes, and entry
     # --method all skips them past it, as it skips the series past
     # --max-order and the oracle past --oracle-cap

@@ -1,5 +1,10 @@
 """Closed formulas against the table and against each other."""
 
+import random
+import sys
+from collections import OrderedDict
+from threading import Thread
+
 import pytest
 
 from pascal_rhombus import (
@@ -72,39 +77,95 @@ def test_triple_sum_deep_matches_recurrence():
     assert entry_triple_sum(600, 601) == entry_triple_sum(600, -601) == 0
 
 
-def test_lone_cold_entry_sums_only_the_inner_sums_it_needs():
+def fresh_inner_sum_tails(monkeypatch):
+    monkeypatch.setattr(closedforms, "_inner_sum_tails", OrderedDict())
+    monkeypatch.setattr(closedforms, "_inner_sums_held", 0)
+
+
+def test_lone_cold_entry_sums_only_the_inner_sums_it_needs(monkeypatch):
+    asked = []
     inner = closedforms._inner_sum
-    inner.cache_clear()
+
+    def recorded(i, k):
+        asked.append((i, k))
+        return inner(i, k)
+
+    fresh_inner_sum_tails(monkeypatch)
+    monkeypatch.setattr(closedforms, "_inner_sum", recorded)
     entry_triple_sum(400, 390)
-    assert (inner.cache_info().misses, inner.cache_info().currsize) == (6, 6)
-    # k = 10, 8, ..., 0 are the six it kept
-    for k in range(10, -1, -2):
-        inner(400, k)
-    assert inner.cache_info()[:2] == (6, 6)
+    # k = i - |j| - 2m for every m, in the sum's order
+    assert asked == [(400, k) for k in range(10, -1, -2)]
+    asked.clear()
+    # the same entry, and one further out on its row's tail, ask for nothing
+    entry_triple_sum(400, -390)
+    entry_triple_sum(400, 392)
+    assert asked == []
+    # a smaller j of the same parity reads one sum more of the same tail
+    entry_triple_sum(400, 388)
+    assert asked == [(400, 12)]
 
 
-def test_entries_after_clearing_the_cache_are_unchanged():
+def test_entries_after_clearing_the_cache_are_unchanged(monkeypatch):
     points = [(i, j) for i in (0, 1, 7, 30, 120, 300) for j in range(-i - 1, i + 2)]
     warm = [entry_triple_sum(*point) for point in points]
-    closedforms._inner_sum.cache_clear()
+    fresh_inner_sum_tails(monkeypatch)
     closedforms._triple_weights.cache_clear()
     assert [entry_triple_sum(*point) for point in points] == warm
 
 
-def test_inner_sum_cache_stays_within_its_bound():
-    inner, bound = closedforms._inner_sum, closedforms._INNER_SUMS_KEPT
-    inner.cache_clear()
-    # j = 0 and 1 sum every S_i(k) of row i; go on until past the bound
-    i = 0
-    while inner.cache_info().misses <= bound:
+def test_inner_sum_cache_stays_within_its_bound(monkeypatch):
+    bound = closedforms._INNER_SUMS_KEPT
+    fresh_inner_sum_tails(monkeypatch)
+
+    def held():
+        tails = closedforms._inner_sum_tails
+        assert closedforms._inner_sums_held == sum(map(len, tails.values())) <= bound
+        return tails
+
+    # j = 0 and 1 read every S_i(k) of row i; go on until past the bound
+    i = summed = 0
+    while summed <= bound:
         entry_triple_sum(i, 0)
+        held()
         entry_triple_sum(i, 1)
+        held()
+        summed += i + 1
         i += 1
-    assert inner.cache_info().currsize == inner.cache_parameters()["maxsize"] == bound
-    # a row the cache let go of, and one it keeps, still read right
+    tails = held()
+    assert (0, 0) not in tails and (i - 1, 0) in tails
+    # a row the tails let go of, and one they keep, still read right
     for n, row in enumerate(iter_rows(i - 1)):
         if n in (2, i - 1):
             assert [entry_triple_sum(n, j) for j in range(-n, n + 1)] == row
+    held()
+
+
+def test_inner_sum_tails_filled_from_threads_keep_an_exact_count(monkeypatch):
+    fresh_inner_sum_tails(monkeypatch)
+    monkeypatch.setattr(closedforms, "_INNER_SUMS_KEPT", 60)
+    rows = list(iter_rows(40))
+    points = [(i, j) for i in range(41) for j in range(-i, i + 1)]
+    wrong = []
+
+    def query(seed):
+        shuffled = random.Random(seed).sample(points, len(points))
+        wrong.extend(p for p in shuffled if entry_triple_sum(*p) != rows[p[0]][p[0] + p[1]])
+
+    # more threads than cores, switching often, all growing and evicting tails
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [Thread(target=query, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    held = sum(map(len, closedforms._inner_sum_tails.values()))
+    assert closedforms._inner_sums_held == held <= 60
 
 
 def test_triple_weight_cache_stays_within_its_bound():

@@ -8,6 +8,7 @@ would make the cross-check compare a value with itself.
 import ast
 import sys
 import types
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -78,8 +79,9 @@ def test_no_route_reaches_another(monkeypatch):
         # an earlier route filled a cache through; the antidiagonal tails
         # live in the convolved prefix cache
         monkeypatch.setattr(closedforms, "_conv_prefix_cache", {}, raising=False)
-        for cached in (closedforms._inner_sum, closedforms._triple_weights,
-                       closedforms._convolved_weights):
+        monkeypatch.setattr(closedforms, "_inner_sum_tails", OrderedDict())
+        monkeypatch.setattr(closedforms, "_inner_sums_held", 0)
+        for cached in (closedforms._triple_weights, closedforms._convolved_weights):
             cached.cache_clear()
         reached[method] = footprint(method, labels)
     own = {"recurrence": "rhombus.iter_rows", "triple_sum": "closedforms.entry_triple_sum",
@@ -91,8 +93,9 @@ def test_no_route_reaches_another(monkeypatch):
         for b in reached:
             crossed = (reached[a] & reached[b]) - shared
             assert a == b or not crossed, f"{a} and {b} both call {sorted(crossed)}"
-    for helper, method in (("_inner_sum", "triple_sum"), ("_triple_weights", "triple_sum"),
-                           ("_convolved_weights", "convolved"), ("_antidiagonal", "convolved")):
+    for helper, method in (("_inner_sum", "triple_sum"), ("_inner_sum_tail", "triple_sum"),
+                           ("_triple_weights", "triple_sum"), ("_convolved_weights", "convolved"),
+                           ("_antidiagonal", "convolved")):
         assert [m for m, called in reached.items() if f"closedforms.{helper}" in called] == [method]
     # the Gould sum is a reindexed triple sum
     assert "closedforms.convolved_fib_gould" not in reached["convolved"]

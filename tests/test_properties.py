@@ -3,6 +3,7 @@ draws the same examples and writes no example database."""
 
 import io
 import re
+from collections import OrderedDict
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from pascal_rhombus import (
     TruncatedSeries, binomial, build_table, catalan_gf, entry_convolved, entry_triple_sum, fibonacci_gf,
 )
-from pascal_rhombus import cli
+from pascal_rhombus import cli, closedforms
 
 # on a failure hypothesis imports libcst to suggest a patch, and where libcst
 # runs on mypy_extensions that import warns; as an error it would turn the
@@ -121,6 +122,27 @@ def test_closed_forms_answered_warm_in_any_order_are_the_recurrence(points):
     want = [table.entry(i, j) for i, j in points]
     assert [entry_triple_sum(i, j) for i, j in points] == want
     assert [entry_convolved(i, j) for i, j in points] == want
+
+
+@settings(exact, max_examples=40)
+@given(warm_points)
+def test_closed_forms_answered_warm_past_small_bounds_are_the_recurrence(points):
+    # bounds small enough that about every fill lets tails go, read at call
+    # time, with the caches left as earlier examples and tests filled them
+    table = build_table(120)
+    tails = closedforms._inner_sum_tails, closedforms._conv_prefix_cache.setdefault(
+        closedforms._TAILS, OrderedDict())
+    before = [dict(kept) for kept in tails]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(closedforms, "_INNER_SUMS_KEPT", 40)
+        patch.setattr(closedforms, "_ANTIDIAGONALS_KEPT", 8)
+        for i, j in points:
+            assert entry_triple_sum(i, j) == entry_convolved(i, j) == table.entry(i, j)
+    # a call that grew a tail let the oldest go until its bound held again
+    held = sum(map(len, tails[0].values()))
+    assert held == closedforms._inner_sums_held
+    assert tails[0] == before[0] or held <= 40
+    assert tails[1] == before[1] or len(tails[1]) <= 8
 
 
 @settings(exact, max_examples=200)
@@ -275,7 +297,7 @@ ARGV = st.one_of(
     series_argv(),
     _argv(
         st.just(["check"]),
-        _opt("--max-i", st.integers(-2, 10)),
+        _opt("--max-i", st.integers(-2, 10) | past_reach("check --max-i")),
         _opt("--order", SMALL_ORDER | past_reach("check")),
         _opt("--max-oracle-n", st.integers(-2, 6)),
         ORACLE_CAP,
