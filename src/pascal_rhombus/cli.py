@@ -97,18 +97,18 @@ ROUTES: dict[str, Callable[[int, int], int]] = {
 # method reads the row of series L<j> at its order, i + 1, and check's
 # sweep every row up to --max-i.  At a default one request takes about
 # 4-7 s on CPython 3.11, 2-CPU x86-64 (row 3000, entry 4500 0 --method
-# triple_sum, entry 350 0 --method convolved, check --max-i 200; series B
+# triple_sum, entry 550 0 --method convolved, check --max-i 280; series B
 # or C --order 1500 about 2 s, series L<j> --order 700 about 3-4 s for every
 # j), check --order 150 about 0.2 s and the oracle's walk under 1 s.
 REACH: dict[str, tuple[str, int]] = {
     "recurrence": ("--max-depth", 3000),
     "triple_sum": ("--max-depth", 4500),
-    "convolved": ("--max-depth", 350),
+    "convolved": ("--max-depth", 550),
     "oracle": ("--oracle-cap", 14),
     "series L<j>": ("--max-order", 700),
     "series F, C, B": ("--max-order", 1500),
     "check": ("--max-order", 150),
-    "check --max-i": ("--max-depth", 200),
+    "check --max-i": ("--max-depth", 280),
 }
 # each cap flag: how its refusal names the request, how the cost grows, and
 # its largest value (one byte per path holds heights within +-MAX_LENGTH

@@ -19,7 +19,8 @@ alone (an inner sum of the triple sum, or a convolved Fibonacci number on
 antidiagonal i + 1), and a call reads one parity of its row's values.  So
 each route caches its weights in blocks by j and its values as tails by
 (row, parity), each its own caches under a fixed bound, and a warm call is
-one lookup and one dot product of the two.
+one lookup and one dot product of the two.  The convolved values come from
+prefixes of A_r = (1 - x - x^2)^(-r) built upward, A_r = A_(r-1) A_1.
 
 Entries at negative j are evaluated at |j|; the recurrence is left-right
 symmetric and the equality of both halves is verified numerically
@@ -208,21 +209,29 @@ def convolved_fib_product(j: int, r: int) -> int:
 
 
 # the convolved route's cache of the triangle a_r(n), coefficient n of
-# (1 - x - x^2)^(-r): each depth r's prefix, and under _TAILS the tails of
-# its antidiagonals, which are copied from the prefixes and so are dropped
-# with them.  Values are immutable tuples, replaced whole, so a racing
-# rebuild is wasted work, not corruption
+# A_r = (1 - x - x^2)^(-r): each depth r's prefix (A_1 one reciprocal, each
+# deeper A_(r-1) A_1) and under _TAILS its antidiagonals' tails, copied from
+# the prefixes and so dropped with them.  Values are immutable tuples,
+# replaced whole, so a racing rebuild is wasted work, not corruption
 _conv_prefix_cache: dict = {}
 _TAILS = "antidiagonal tails"
 _ANTIDIAGONALS_KEPT = 512
 
 
 def _convolved_prefix(r: int, count: int) -> tuple[int, ...]:
-    cached = _conv_prefix_cache.get(r)
-    if cached is None or len(cached) < count:
+    cached = _conv_prefix_cache.get(r, ())
+    if len(cached) < count:
         # a rebuild doubles, so an ascending sweep rebuilds each r about log2 times
-        cached = tuple(convolved_fib_series(r, max(count, 2 * len(cached) if cached else 32)))
-        _conv_prefix_cache[r] = cached
+        n = max(count, 2 * len(cached) or 32)
+        base = _conv_prefix_cache.get(1, ())
+        if len(base) < n:
+            base = _conv_prefix_cache[1] = TruncatedSeries.from_coeffs([1, -1, -1], n).reciprocal().coeffs
+        # from the deepest depth below r kept this long, A_d = A_(d-1) A_1 up to r
+        low, cached = next(((d, p) for d in range(r - 1, 1, -1)
+                            if len(p := _conv_prefix_cache.get(d, ())) >= n), (1, base))
+        step = TruncatedSeries(base[:n])
+        for d in range(low + 1, r + 1):
+            cached = _conv_prefix_cache[d] = (TruncatedSeries(cached[:n]) * step).coeffs
     return cached
 
 
@@ -263,14 +272,15 @@ def entry_convolved(i: int, j: int) -> int:
     by columns).  Every a_r(n) of row i lies on the antidiagonal r + n =
     i + 1, and those of one call on one parity of r, so a warm call is one
     dot product of two cached vectors: the weights C(j + 2m, m) and the
-    antidiagonal's tail from r = |j| + 1.  The tail is read from the cached
-    series prefixes of (1 - x - x^2)^(-r), and only where a call needs it.
+    antidiagonal's tail from r = |j| + 1.  The tail is read from cached
+    prefixes of A_r, only where a call needs it; a depth is built up from
+    the deepest kept below it, one series product A_d = A_(d-1) A_1 a depth.
 
     The last ``_ANTIDIAGONALS_KEPT`` = 512 tails begun are kept: at most
-    176 values, under 14 KB, at i = 350, this route's reach, so at most
-    about 7 MB.  A least-recently-used cache keeps the last
+    276 values, under 29 KB, at i = 550, this route's reach, so at most
+    about 15 MB.  A least-recently-used cache keeps the last
     ``_CONVOLVED_WEIGHT_BLOCKS_KEPT`` = 512 blocks of 64 weights, one j and
-    64 consecutive m each: under 6 KB a block up to i = 350, so under 3 MB.
+    64 consecutive m each: under 7 KB a block up to i = 550, so under 4 MB.
     """
     if i < 0:
         raise ValueError(f"row index must be >= 0, got {i}")

@@ -8,6 +8,7 @@ from threading import Thread
 import pytest
 
 from pascal_rhombus import (
+    TruncatedSeries,
     binomial,
     build_table,
     closedforms,
@@ -232,24 +233,66 @@ def test_convolved_weight_cache_stays_within_its_bound(monkeypatch):
     assert entry_convolved(140, 0) == entry_triple_sum(140, 0)
 
 
-def test_convolved_prefix_grows_by_doubling(monkeypatch):
-    builds = {}
-    build = closedforms.convolved_fib_series
+def test_convolved_prefix_builds_each_depth_by_one_product_per_length(monkeypatch):
+    writes, products = [], []
 
-    def counted(r, count):
-        builds[r] = builds.get(r, 0) + 1
-        return build(r, count)
+    class Recorded(dict):
+        def __setitem__(self, r, prefix):
+            writes.append((r, len(prefix)))
+            super().__setitem__(r, prefix)
+
+    product = TruncatedSeries.__mul__
+
+    def counted(a, b):
+        products.append(a.order)
+        return product(a, b)
 
     points = [(i, j) for i in range(41) for j in range(-i, i + 1)]
     monkeypatch.setattr(closedforms, "_conv_prefix_cache", {})
     descending = {point: entry_convolved(*point) for point in reversed(points)}
-    monkeypatch.setattr(closedforms, "_conv_prefix_cache", {})
-    monkeypatch.setattr(closedforms, "convolved_fib_series", counted)
+    monkeypatch.setattr(closedforms, "_conv_prefix_cache", Recorded())
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
     ascending = {point: entry_convolved(*point) for point in points}
     assert ascending == descending
-    # depth r reads up to 42 - r coefficients: a cold build of 32, and one
-    # rebuild, of 64, for r <= 9, where a rebuild at each new length makes 86
-    assert builds == {r: 2 if r <= 9 else 1 for r in range(1, 42)}
+    # depth r reads up to 42 - r coefficients: each depth is written at 32,
+    # and once more, at 64, for r <= 9, not at each new length; depth 1 is a
+    # reciprocal, every deeper depth one product A_r = A_(r-1) A_1 a length,
+    # where a binary power would take about 2 log2(r)
+    built = [(r, 32) for r in range(1, 42)] + [(r, 64) for r in range(1, 10)]
+    assert sorted(writes) == sorted(built)
+    assert sorted(products) == [32] * 40 + [64] * 8
+
+
+def test_a_deep_cold_convolved_prefix_is_built_without_recursion(monkeypatch):
+    monkeypatch.setattr(closedforms, "_conv_prefix_cache", {})
+    r = 2 * sys.getrecursionlimit()
+    assert closedforms._convolved_prefix(r, 2)[:2] == (1, r)
+
+
+def test_convolved_prefixes_built_from_threads_are_the_series_power(monkeypatch):
+    monkeypatch.setattr(closedforms, "_conv_prefix_cache", {})
+    requests = [(r, count) for r in range(1, 41) for count in (1, 20, 40, 70)]
+    want = {(r, count): tuple(convolved_fib_series(r, count)) for r, count in requests}
+    wrong = []
+
+    def build(seed):
+        for r, count in random.Random(seed).sample(requests, len(requests)):
+            if closedforms._convolved_prefix(r, count)[:count] != want[r, count]:
+                wrong.append((r, count))
+
+    # more threads than cores, switching often, each replacing depths whole
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [Thread(target=build, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 def test_convolved_series_classical_case():

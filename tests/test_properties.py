@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pascal_rhombus import (
-    TruncatedSeries, binomial, build_table, catalan_gf, entry_convolved, entry_triple_sum, fibonacci_gf,
+    TruncatedSeries, binomial, build_table, catalan_gf, convolved_fib_series, entry_convolved,
+    entry_triple_sum, fibonacci_gf,
 )
 from pascal_rhombus import cli, closedforms
 
@@ -143,6 +144,18 @@ def test_closed_forms_answered_warm_past_small_bounds_are_the_recurrence(points)
     assert held == closedforms._inner_sums_held
     assert tails[0] == before[0] or held <= 40
     assert tails[1] == before[1] or len(tails[1]) <= 8
+
+
+@settings(exact, max_examples=40)
+@given(st.lists(st.tuples(st.integers(1, 60), st.integers(1, 100)), min_size=1, max_size=12))
+def test_convolved_prefixes_filled_in_any_order_are_the_series_power(requests):
+    # each depth is built up from the deepest one below it already kept
+    # long enough, so the order of requests decides which depths are written
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(closedforms, "_conv_prefix_cache", {})
+        for r, count in requests:
+            assert closedforms._convolved_prefix(r, count)[:count] == tuple(
+                convolved_fib_series(r, count))
 
 
 @settings(exact, max_examples=200)
