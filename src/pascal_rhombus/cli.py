@@ -98,8 +98,8 @@ ROUTES: dict[str, Callable[[int, int], int]] = {
 # sweep every row up to --max-i.  At a default one request takes about
 # 4-7 s on CPython 3.11, 2-CPU x86-64 (row 3000, entry 4500 0 --method
 # triple_sum, entry 550 0 --method convolved, check --max-i 280; series B
-# or C --order 1500 about 2 s, series L<j> --order 700 about 3-4 s for every
-# j), check --order 150 about 0.2 s and the oracle's walk under 1 s.
+# or C --order 1500 about 2 s, series L<j> --order 700 3-5 s, from L1 to
+# L699), check --order 150 about 0.3 s and the oracle's walk under 1 s.
 REACH: dict[str, tuple[str, int]] = {
     "recurrence": ("--max-depth", 3000),
     "triple_sum": ("--max-depth", 4500),

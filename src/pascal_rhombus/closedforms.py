@@ -17,10 +17,13 @@ Both entry formulas have one shape: entry (i, j) = Σ_m C(j + 2m, m) V_i(m),
 a weight that depends on j alone times a value that depends on the row
 alone (an inner sum of the triple sum, or a convolved Fibonacci number on
 antidiagonal i + 1), and a call reads one parity of its row's values.  So
-each route caches its weights in blocks by j and its values as tails by
-(row, parity), each its own caches under a fixed bound, and a warm call is
-one lookup and one dot product of the two.  The convolved values come from
-prefixes of A_r = (1 - x - x^2)^(-r) built upward, A_r = A_(r-1) A_1.
+each route keeps, in stores of its own, its weights as one tuple per j and
+its values as tails by (row, parity); a warm call is two lookups and one
+dot product.  A store's tuples grow only as far as a call reads, each
+replaced whole and moved last, and the least recently grown go first once
+it holds more values than its bound; a lock keeps that count exact.  The
+convolved values come from prefixes of A_r = (1 - x - x^2)^(-r) built
+upward, A_r = A_(r-1) A_1.
 
 Entries at negative j are evaluated at |j|; the recurrence is left-right
 symmetric and the equality of both halves is verified numerically
@@ -30,8 +33,7 @@ elsewhere rather than assumed here.
 from __future__ import annotations
 
 from collections import OrderedDict
-from functools import lru_cache
-from itertools import chain, repeat
+from itertools import repeat
 from math import comb
 from operator import mul
 from threading import Lock
@@ -61,15 +63,37 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k) if k >= 0 else 0
 
 
-# the triple sum's row tails (S_i(top), S_i(top - 2), ..., S_i(top mod 2)),
-# keyed by (i, parity of k) and grown toward larger k only as far as a call
-# reads.  A grown tail is replaced whole and moved last (assigning to a kept
-# key would leave it in place), and the least recently grown go first once
-# more than _INNER_SUMS_KEPT sums are held; the lock keeps that count exact
-_INNER_SUMS_KEPT = 1 << 14
-_inner_sum_tails: OrderedDict = OrderedDict()
-_inner_sums_held = 0
-_inner_sums_lock = Lock()
+class _TripleStore(OrderedDict):
+    # the triple sum's stores, each holding at most `kept` values
+    def __init__(self, kept: int) -> None:
+        super().__init__()
+        self.kept, self.held, self.lock = kept, 0, Lock()
+
+    def grown(self, key, values: tuple) -> tuple:
+        with self.lock:
+            # popped first, as assigning to a kept key would leave it in place
+            self.held += len(values) - len(self.pop(key, ()))
+            self[key] = values
+            while self.held > self.kept:
+                self.held -= len(self.popitem(last=False)[1])
+        return values
+
+
+# the weights C(j + 2m, m), m = 0, 1, ..., by j (a lone C(j, 0) = 1 is not
+# stored); the tails (S_i(top), ..., S_i(top mod 2)) by (i, parity of k)
+_triple_weight_rows = _TripleStore(1 << 15)
+_inner_sum_tails = _TripleStore(1 << 14)
+
+
+def _triple_weight_row(j: int, count: int) -> tuple[int, ...]:
+    weights = _triple_weight_rows.get(j, (1,))
+    if len(weights) >= count:
+        return weights
+    weights = list(weights)
+    for m in range(len(weights) - 1, count - 1):
+        a = j + 2 * m
+        weights.append(weights[-1] * ((a + 1) * (a + 2)) // ((m + 1) * (j + m + 1)))
+    return _triple_weight_rows.grown(j, tuple(weights))
 
 
 def _inner_sum(i: int, k: int) -> int:
@@ -81,37 +105,13 @@ def _inner_sum(i: int, k: int) -> int:
 
 
 def _inner_sum_tail(i: int, top: int) -> tuple[int, ...]:
-    global _inner_sums_held
     key = (i, top % 2)
     cached = _inner_sum_tails.get(key, ())
     missing = top // 2 + 1 - len(cached)
     if missing <= 0:
         return cached[-missing:]
-    cached = tuple(map(_inner_sum, repeat(i), range(top, top - 2 * missing, -2))) + cached
-    with _inner_sums_lock:
-        _inner_sums_held += len(cached) - len(_inner_sum_tails.pop(key, ()))
-        _inner_sum_tails[key] = cached
-        while _inner_sums_held > _INNER_SUMS_KEPT:
-            _inner_sums_held -= len(_inner_sum_tails.popitem(last=False)[1])
-    return cached
-
-
-# the binomial weights C(j + 2m, m) of both routes are cached in blocks of
-# this many consecutive m, each route its own
-_WEIGHTS_PER_BLOCK = 64
-_TRIPLE_WEIGHT_BLOCKS_KEPT = 256
-
-
-@lru_cache(maxsize=_TRIPLE_WEIGHT_BLOCKS_KEPT)
-def _triple_weights(j: int, block: int) -> tuple[int, ...]:
-    m = block * _WEIGHTS_PER_BLOCK
-    outer = comb(j + 2 * m, m)
-    weights = [outer]
-    for m in range(m, m + _WEIGHTS_PER_BLOCK - 1):
-        a = j + 2 * m
-        outer = outer * ((a + 1) * (a + 2)) // ((m + 1) * (j + m + 1))
-        weights.append(outer)
-    return tuple(weights)
+    fresh = tuple(map(_inner_sum, repeat(i), range(top, top - 2 * missing, -2)))
+    return _inner_sum_tails.grown(key, fresh + cached)
 
 
 def entry_triple_sum(i: int, j: int) -> int:
@@ -122,26 +122,22 @@ def entry_triple_sum(i: int, j: int) -> int:
     terms C(l + i - k, l) C(l, k - l) start at C(i, k), l = k, and step down
     in l by their ratio u (u - 1) / ((i - v + 1) v), v = k - l + 1, u = 2l - k;
     C(a, m) steps by (a + 1)(a + 2) / ((m + 1)(j + m + 1)).  Each `//` is
-    exact, as it yields the next term, an integer.  A warm call is one lookup
-    of row i's tail of S_i(k), one parity of k, and one dot product with the
-    cached weights C(a, m).
+    exact, as it yields the next term, an integer.  A warm call is one dot
+    product of column j's weights C(a, m) and row i's tail of S_i(k).
 
-    Each S_i(k) is summed once from row i's binomials, when a call first
-    reads it; the tails hold at most ``_INNER_SUMS_KEPT`` = 2^14 sums, under
-    1 KB each at i = 4500, this route's reach, so at most about 16 MB.  A
-    least-recently-used cache keeps the last ``_TRIPLE_WEIGHT_BLOCKS_KEPT`` =
-    256 blocks of 64 weights C(a, m), one j and 64 consecutive m each, filled
-    whole from one `comb` by the ratio above: under 42 KB a block for any
-    entry up to i = 4500, so at most about 11 MB.
+    A weight is continued by its ratio from the last one held for its j, and
+    S_i(k) summed from row i's binomials, when a call first reads it.  The
+    stores keep at most 2^15 weights and 2^14 sums, under 0.7 and 0.8 KB
+    each at i = 4500, this route's reach, so at most about 21 and 13 MB.  A
+    cold sweep of every entry up to i = 280 holds 19,881 weights and each
+    row's tails at once, so it computes none of them twice.
     """
     if i < 0:
         raise ValueError(f"row index must be >= 0, got {i}")
     j = abs(j)
     if j > i:
         return 0
-    blocks = range((i - j) // (2 * _WEIGHTS_PER_BLOCK) + 1)
-    weights = chain.from_iterable(map(_triple_weights, repeat(j), blocks))
-    return sum(map(mul, weights, _inner_sum_tail(i, i - j)))
+    return sum(map(mul, _triple_weight_row(j, (i - j) // 2 + 1), _inner_sum_tail(i, i - j)))
 
 
 def convolved_fib_series(r: int, count: int) -> list[int]:
@@ -208,60 +204,65 @@ def convolved_fib_product(j: int, r: int) -> int:
     return total
 
 
-# the convolved route's cache of the triangle a_r(n), coefficient n of
-# A_r = (1 - x - x^2)^(-r): each depth r's prefix (A_1 one reciprocal, each
-# deeper A_(r-1) A_1) and under _TAILS its antidiagonals' tails, copied from
-# the prefixes and so dropped with them.  Values are immutable tuples,
-# replaced whole, so a racing rebuild is wasted work, not corruption
-_conv_prefix_cache: dict = {}
-_TAILS = "antidiagonal tails"
-_ANTIDIAGONALS_KEPT = 512
+class _ConvolvedStore(OrderedDict):
+    # the convolved route's stores, each holding at most `kept` values
+    def __init__(self, kept: int) -> None:
+        super().__init__()
+        self.kept, self.held, self.lock = kept, 0, Lock()
+
+    def grown(self, key, values: tuple) -> tuple:
+        with self.lock:
+            self.held += len(values) - len(self.pop(key, ()))
+            self[key] = values
+            while self.held > self.kept:
+                self.held -= len(self.popitem(last=False)[1])
+        return values
+
+
+# the weights C(j + 2m, m), m = 0, 1, ..., by j; a_r(n), coefficient n of A_r,
+# as each depth r's prefix, and its antidiagonals' tails by (r + n, parity of r)
+_convolved_weight_rows = _ConvolvedStore(1 << 15)
+_conv_prefix_cache = _ConvolvedStore(1 << 18)
+_antidiagonal_tails = _ConvolvedStore(1 << 14)
+
+
+def _convolved_weight_row(j: int, count: int) -> tuple[int, ...]:
+    held = _convolved_weight_rows.get(j, ())
+    if len(held) >= count:
+        return held
+    fresh = tuple(binomial(j + 2 * m, m) for m in range(len(held), count))
+    return _convolved_weight_rows.grown(j, held + fresh)
 
 
 def _convolved_prefix(r: int, count: int) -> tuple[int, ...]:
     cached = _conv_prefix_cache.get(r, ())
     if len(cached) < count:
-        # a rebuild doubles, so an ascending sweep rebuilds each r about log2 times
-        n = max(count, 2 * len(cached) or 32)
+        # doubled, so an ascending sweep builds each r about log2 times; one more
+        # than asked, as the depths built on the way up serve the other parity
+        n = max(count + 1, 2 * len(cached) or 32)
         base = _conv_prefix_cache.get(1, ())
         if len(base) < n:
-            base = _conv_prefix_cache[1] = TruncatedSeries.from_coeffs([1, -1, -1], n).reciprocal().coeffs
+            base = _conv_prefix_cache.grown(
+                1, TruncatedSeries.from_coeffs([1, -1, -1], n).reciprocal().coeffs)
         # from the deepest depth below r kept this long, A_d = A_(d-1) A_1 up to r
         low, cached = next(((d, p) for d in range(r - 1, 1, -1)
                             if len(p := _conv_prefix_cache.get(d, ())) >= n), (1, base))
         step = TruncatedSeries(base[:n])
         for d in range(low + 1, r + 1):
-            cached = _conv_prefix_cache[d] = (TruncatedSeries(cached[:n]) * step).coeffs
+            cached = _conv_prefix_cache.grown(d, (TruncatedSeries(cached[:n]) * step).coeffs)
     return cached
 
 
 def _antidiagonal(s: int, low: int) -> tuple[int, ...]:
     # a_r(n) for r = low, low + 2, ... up to s, n = s - r: one parity of
-    # antidiagonal s, from depth low on.  Tails are kept by (s, parity of r),
-    # the _ANTIDIAGONALS_KEPT last begun, and grow only as far down as a
-    # call reads
-    tails = _conv_prefix_cache.get(_TAILS)
-    if tails is None:
-        tails = _conv_prefix_cache.setdefault(_TAILS, OrderedDict())
+    # antidiagonal s, from depth low on, grown only as far down as a call reads
     key = (s, low % 2)
-    cached = tails.get(key, ())
+    cached = _antidiagonal_tails.get(key, ())
     missing = (s - low) // 2 + 1 - len(cached)
     if missing <= 0:
         return cached[-missing:]
-    fresh = [_convolved_prefix(r, s - r + 1)[s - r] for r in range(low, low + 2 * missing, 2)]
-    cached = tails[key] = tuple(fresh) + cached
-    while len(tails) > _ANTIDIAGONALS_KEPT:
-        tails.popitem(last=False)
-    return cached
-
-
-_CONVOLVED_WEIGHT_BLOCKS_KEPT = 512
-
-
-@lru_cache(maxsize=_CONVOLVED_WEIGHT_BLOCKS_KEPT)
-def _convolved_weights(j: int, block: int) -> tuple[int, ...]:
-    start = block * _WEIGHTS_PER_BLOCK
-    return tuple(binomial(j + 2 * m, m) for m in range(start, start + _WEIGHTS_PER_BLOCK))
+    fresh = tuple(_convolved_prefix(r, s - r + 1)[s - r] for r in range(low, low + 2 * missing, 2))
+    return _antidiagonal_tails.grown(key, fresh + cached)
 
 
 def entry_convolved(i: int, j: int) -> int:
@@ -271,22 +272,20 @@ def entry_convolved(i: int, j: int) -> int:
     where a_r(n) is coefficient n of (1 - x - x^2)^(-r) (OEIS A037027, read
     by columns).  Every a_r(n) of row i lies on the antidiagonal r + n =
     i + 1, and those of one call on one parity of r, so a warm call is one
-    dot product of two cached vectors: the weights C(j + 2m, m) and the
-    antidiagonal's tail from r = |j| + 1.  The tail is read from cached
-    prefixes of A_r, only where a call needs it; a depth is built up from
-    the deepest kept below it, one series product A_d = A_(d-1) A_1 a depth.
+    dot product of column j's weights C(j + 2m, m) and the antidiagonal's
+    tail from r = |j| + 1, read from prefixes of A_r where a call needs it;
+    a depth is built from the deepest kept below it, A_d = A_(d-1) A_1.
 
-    The last ``_ANTIDIAGONALS_KEPT`` = 512 tails begun are kept: at most
-    276 values, under 29 KB, at i = 550, this route's reach, so at most
-    about 15 MB.  A least-recently-used cache keeps the last
-    ``_CONVOLVED_WEIGHT_BLOCKS_KEPT`` = 512 blocks of 64 weights, one j and
-    64 consecutive m each: under 7 KB a block up to i = 550, so under 4 MB.
+    The stores keep at most 2^15 weights, 2^14 tail values and 2^18 prefix
+    coefficients, each under 0.12 KB at i = 550, this route's reach, so at
+    most about 4, 2 and 32 MB.  A cold entry at i = 550 holds 152,832
+    coefficients; a cold sweep of every entry up to i = 280 holds 19,881
+    weights, 56,832 coefficients and each row's tails, so it computes no
+    weight and no tail value twice.
     """
     if i < 0:
         raise ValueError(f"row index must be >= 0, got {i}")
     j = abs(j)
     if j > i:
         return 0
-    blocks = range((i - j) // (2 * _WEIGHTS_PER_BLOCK) + 1)
-    weights = chain.from_iterable(map(_convolved_weights, repeat(j), blocks))
-    return sum(map(mul, weights, _antidiagonal(i + 1, j + 1)))
+    return sum(map(mul, _convolved_weight_row(j, (i - j) // 2 + 1), _antidiagonal(i + 1, j + 1)))

@@ -75,14 +75,11 @@ def test_no_route_reaches_another(monkeypatch):
     shared = kernel(labels)
     reached = {}
     for method in cli.ROUTES:
-        # cold caches, so each route shows every function it uses, even one
-        # an earlier route filled a cache through; the antidiagonal tails
-        # live in the convolved prefix cache
-        monkeypatch.setattr(closedforms, "_conv_prefix_cache", {}, raising=False)
-        monkeypatch.setattr(closedforms, "_inner_sum_tails", OrderedDict())
-        monkeypatch.setattr(closedforms, "_inner_sums_held", 0)
-        for cached in (closedforms._triple_weights, closedforms._convolved_weights):
-            cached.cache_clear()
+        # empty stores, so each route shows every function it uses, even one
+        # an earlier route filled a store through
+        for name, store in list(vars(closedforms).items()):
+            if isinstance(store, OrderedDict):
+                monkeypatch.setattr(closedforms, name, type(store)(store.kept))
         reached[method] = footprint(method, labels)
     own = {"recurrence": "rhombus.iter_rows", "triple_sum": "closedforms.entry_triple_sum",
            "convolved": "closedforms.entry_convolved", "series": "series.column_gf",
@@ -94,8 +91,9 @@ def test_no_route_reaches_another(monkeypatch):
             crossed = (reached[a] & reached[b]) - shared
             assert a == b or not crossed, f"{a} and {b} both call {sorted(crossed)}"
     for helper, method in (("_inner_sum", "triple_sum"), ("_inner_sum_tail", "triple_sum"),
-                           ("_triple_weights", "triple_sum"), ("_convolved_weights", "convolved"),
-                           ("_antidiagonal", "convolved")):
+                           ("_triple_weight_row", "triple_sum"), ("_TripleStore.grown", "triple_sum"),
+                           ("_convolved_weight_row", "convolved"), ("_antidiagonal", "convolved"),
+                           ("_convolved_prefix", "convolved"), ("_ConvolvedStore.grown", "convolved")):
         assert [m for m, called in reached.items() if f"closedforms.{helper}" in called] == [method]
     # the Gould sum is a reindexed triple sum
     assert "closedforms.convolved_fib_gould" not in reached["convolved"]

@@ -3,7 +3,6 @@ draws the same examples and writes no example database."""
 
 import io
 import re
-from collections import OrderedDict
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -125,25 +124,28 @@ def test_closed_forms_answered_warm_in_any_order_are_the_recurrence(points):
     assert [entry_convolved(i, j) for i, j in points] == want
 
 
+SMALL_BOUNDS = {"_triple_weight_rows": 40, "_inner_sum_tails": 40, "_convolved_weight_rows": 40,
+                "_conv_prefix_cache": 4000, "_antidiagonal_tails": 40}
+
+
 @settings(exact, max_examples=40)
 @given(warm_points)
 def test_closed_forms_answered_warm_past_small_bounds_are_the_recurrence(points):
-    # bounds small enough that about every fill lets tails go, read at call
-    # time, with the caches left as earlier examples and tests filled them
+    # bounds small enough that about every fill lets values go, read at call
+    # time, with the stores left as earlier examples and tests filled them
     table = build_table(120)
-    tails = closedforms._inner_sum_tails, closedforms._conv_prefix_cache.setdefault(
-        closedforms._TAILS, OrderedDict())
-    before = [dict(kept) for kept in tails]
+    stores = {name: getattr(closedforms, name) for name in SMALL_BOUNDS}
+    before = {name: dict(store) for name, store in stores.items()}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(closedforms, "_INNER_SUMS_KEPT", 40)
-        patch.setattr(closedforms, "_ANTIDIAGONALS_KEPT", 8)
+        for name, bound in SMALL_BOUNDS.items():
+            patch.setattr(stores[name], "kept", bound)
         for i, j in points:
             assert entry_triple_sum(i, j) == entry_convolved(i, j) == table.entry(i, j)
-    # a call that grew a tail let the oldest go until its bound held again
-    held = sum(map(len, tails[0].values()))
-    assert held == closedforms._inner_sums_held
-    assert tails[0] == before[0] or held <= 40
-    assert tails[1] == before[1] or len(tails[1]) <= 8
+    # a call that grew a store let the oldest go until its bound held again
+    for name, store in stores.items():
+        held = sum(map(len, store.values()))
+        assert held == store.held
+        assert store == before[name] or held <= SMALL_BOUNDS[name]
 
 
 @settings(exact, max_examples=40)
@@ -152,7 +154,8 @@ def test_convolved_prefixes_filled_in_any_order_are_the_series_power(requests):
     # each depth is built up from the deepest one below it already kept
     # long enough, so the order of requests decides which depths are written
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(closedforms, "_conv_prefix_cache", {})
+        store = closedforms._conv_prefix_cache
+        patch.setattr(closedforms, "_conv_prefix_cache", type(store)(store.kept))
         for r, count in requests:
             assert closedforms._convolved_prefix(r, count)[:count] == tuple(
                 convolved_fib_series(r, count))
