@@ -32,7 +32,10 @@ from .paths import MAX_LENGTH, count_by_height
 from .rhombus import iter_rows
 from .series import catalan_gf, column_gf, fibonacci_gf, motzkin2_gf
 
-FORMATS = ("plain", "json", "csv")
+# a sequence's text in each format: what goes before, between and after
+# the values (json's is the text json.dumps gives a list of ints)
+_LAYOUTS = {"plain": ("", ",", ""), "json": ("[", ", ", "]"), "csv": ("", "\n", "")}
+FORMATS = tuple(_LAYOUTS)
 
 EXIT_OK = 0
 EXIT_DISAGREEMENT = 1
@@ -46,15 +49,28 @@ class OutOfReach(UsageError):
     """A request is past the reach of its route or command, its cap in REACH."""
 
 
-def _say(text: str, stream: TextIO | None) -> OSError | None:
-    """Write one line; the error if the stream would not take it.
+# values whose text goes out in one write: few enough to hold little, and
+# enough that a stream which writes through (python -u) is not given one
+# system call per value
+_BATCH = 16
 
-    A stream closed before start (None) takes nothing and is no error.
+
+def _say(stream: TextIO | None, *values: object, fmt: str = "csv") -> OSError | None:
+    """Write ``values`` as one sequence in ``fmt`` and end the line; the
+    error if the stream would not take it.
+
+    The values' text is made a batch at a time as it goes out, so the
+    output is never held whole.  A stream closed before start (None) takes
+    nothing and is no error.
     """
     if stream is None:
         return None
+    start, sep, end = _LAYOUTS[fmt]
     try:
-        print(text, file=stream)
+        stream.write(start)
+        stream.writelines((sep if k else "") + sep.join(map(str, values[k:k + _BATCH]))
+                          for k in range(0, len(values), _BATCH))
+        stream.write(end + "\n")
         stream.flush()
     except OSError as exc:
         # point the stream at devnull so the flush at shutdown cannot fail again
@@ -63,15 +79,6 @@ def _say(text: str, stream: TextIO | None) -> OSError | None:
         os.close(devnull)
         return exc
     return None
-
-
-def _emit_sequence(values: list[int], fmt: str) -> str:
-    if fmt == "json":
-        import json  # only here, to keep it off the import path of every request
-        return json.dumps(values)
-    if fmt == "csv":
-        return "\n".join(str(v) for v in values)
-    return ",".join(str(v) for v in values)
 
 
 def _last_row(i: int) -> list[int]:
@@ -96,10 +103,11 @@ ROUTES: dict[str, Callable[[int, int], int]] = {
 # caps the row index (row and column read the recurrence's); the series
 # method reads the row of series L<j> at its order, i + 1, and check's
 # sweep every row up to --max-i.  At a default one request takes about
-# 4-7 s on CPython 3.11, 2-CPU x86-64 (row 3000, entry 4500 0 --method
-# triple_sum, entry 550 0 --method convolved, check --max-i 280; series B
-# or C --order 1500 about 2 s, series L<j> --order 700 3-5 s, from L1 to
-# L699), check --order 150 about 0.3 s and the oracle's walk under 1 s.
+# 4-7 s on CPython 3.11, 2-CPU x86-64 (row 3000 about 5 s, entry 4500 0
+# --method triple_sum, entry 550 0 --method convolved, check --max-i 280;
+# series B or C --order 1500 about 2 s, series L<j> --order 700 3-5 s, from
+# L1 to L699), check --order 150 about 0.3 s and the oracle's walk to 14
+# about 0.5 s.
 REACH: dict[str, tuple[str, int]] = {
     "recurrence": ("--max-depth", 3000),
     "triple_sum": ("--max-depth", 4500),
@@ -156,45 +164,51 @@ def _answer(method: str, i: int, j: int, args: argparse.Namespace) -> int:
     return ROUTES[method](i, j)
 
 
-def _cmd_entry(args: argparse.Namespace) -> tuple[int, str]:
+# a command's verdict, the values it outputs and their format
+Output = tuple[int, Sequence[object], str]
+
+
+def _cmd_entry(args: argparse.Namespace) -> Output:
     i, j = args.i, args.j
     _in_range("row index", i, 0)
     if args.method != "all":
-        return EXIT_OK, str(_answer(args.method, i, j, args))
+        return EXIT_OK, [_answer(args.method, i, j, args)], "plain"
 
     values: dict[str, int] = {}
     for method in ROUTES:
         try:
             values[method] = _answer(method, i, j, args)
         except OutOfReach as exc:
-            _say(f"skipping {method} method ({exc})", sys.stderr)
+            _say(sys.stderr, f"skipping {method} method ({exc})")
     if not values:
         raise UsageError(f"every method is past its reach at (i={i}, j={j})")
 
     detail = first_disagreement([(f"(i={i}, j={j})", values)])
     if detail:
-        _say(detail, sys.stderr)
+        _say(sys.stderr, detail)
     # one value per line, as csv prints a sequence, unless json was asked for
     fmt = "json" if args.format == "json" else "csv"
-    return (EXIT_DISAGREEMENT if detail else EXIT_OK), _emit_sequence(list(values.values()), fmt)
+    return (EXIT_DISAGREEMENT if detail else EXIT_OK), list(values.values()), fmt
 
 
-def _cmd_row(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_row(args: argparse.Namespace) -> Output:
     _in_range("row index", args.i, 0)
     _reach("recurrence", args.i, args)
-    return EXIT_OK, _emit_sequence(_last_row(args.i), args.format)
+    return EXIT_OK, _last_row(args.i), args.format
 
 
-def _cmd_column(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_column(args: argparse.Namespace) -> Output:
     _in_range("--terms", args.terms, 1)
     j = args.j
     depth = abs(j) + args.terms - 1
     _reach("recurrence", depth, args)
     rows = enumerate(iter_rows(depth))
-    return EXIT_OK, _emit_sequence([row[j + i] for i, row in rows if i >= abs(j)], args.format)
+    # each value kept as its text: a kept int would keep the allocator's
+    # pools that its row was built in from being freed
+    return EXIT_OK, [str(row[j + i]) for i, row in rows if i >= abs(j)], args.format
 
 
-def _cmd_series(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_series(args: argparse.Namespace) -> Output:
     _in_range("--order", args.order, 1)
     name = args.name
     column = re.fullmatch(r"L(-?\d+)", name)
@@ -205,10 +219,10 @@ def _cmd_series(args: argparse.Namespace) -> tuple[int, str]:
         s = column_gf(abs(int(column.group(1))), args.order)
     else:
         s = {"F": fibonacci_gf, "C": catalan_gf, "B": motzkin2_gf}[name](args.order)
-    return EXIT_OK, _emit_sequence(s.integer_coefficients(), args.format)
+    return EXIT_OK, s.integer_coefficients(), args.format
 
 
-def _cmd_check(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_check(args: argparse.Namespace) -> Output:
     _in_range("--max-i", args.max_i, 1)
     _reach("check --max-i", args.max_i, args)
     _in_range("--order", args.order, 1)
@@ -222,7 +236,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, str]:
     )
     lines = [f"{r.status:7s} {r.name}" + (f": {r.detail}" if r.detail else "") for r in results]
     failed = [r for r in results if not r.skipped and not r.passed]
-    return (EXIT_DISAGREEMENT if failed else EXIT_OK), "\n".join(lines)
+    return (EXIT_DISAGREEMENT if failed else EXIT_OK), lines, "csv"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,18 +305,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _caps_in_range(args)
-        verdict, text = args.func(args)
+        verdict, values, fmt = args.func(args)
     except UsageError as exc:
-        _say(f"error: {exc}", sys.stderr)
+        _say(sys.stderr, f"error: {exc}")
         return EXIT_USAGE
     except (ValueError, IndexError, RecursionError) as exc:
-        _say(f"error: internal: {exc}", sys.stderr)
+        _say(sys.stderr, f"error: internal: {exc}")
         return EXIT_DISAGREEMENT
     # output with no reader left keeps the verdict; output lost on its way
     # to a reader (a full disk, say) is a failure
-    lost = _say(text, sys.stdout)
+    lost = _say(sys.stdout, *values, fmt=fmt)
     if lost is not None and not isinstance(lost, BrokenPipeError):
-        _say(f"error: cannot write the output: {lost}", sys.stderr)
+        _say(sys.stderr, f"error: cannot write the output: {lost}")
         return EXIT_DISAGREEMENT
     return verdict
 

@@ -14,6 +14,7 @@ symmetry is a theorem the tests verify, never a storage shortcut.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 __all__ = ["RhombusTable", "build_table", "iter_rows"]
@@ -54,13 +55,14 @@ def iter_rows(depth: int) -> Iterator[list[int]]:
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     older, row = [], [1]  # rows i-2 and i-1: row -1 is empty (all 0), row 0 the seed
-    for i in range(1, depth + 1):
+    for _ in range(depth):
         yield list(row)  # a copy, because the next row is computed from ``row``
-        # pad the two source rows so j-1, j, j+1 and the row-above lookups
-        # become plain list indexing with zeros off the triangle
-        p = [0, 0] + row + [0, 0]          # p[j + i + 1] = r[i-1][j]
-        q = [0, 0, 0] + older + [0, 0, 0]  # q[j + i + 1] = r[i-2][j]
-        older, row = row, [p[t] + p[t + 1] + p[t + 2] + q[t + 1] for t in range(2 * i + 1)]
+        # pad the two source rows so that the four terms of r[i][j] are
+        # p[t], p[t + 1], p[t + 2] and q[t] for t = j + i, zeros off the
+        # triangle; map(add) adds them in C and stops at p[2:], 2i + 1 long
+        p = [0, 0, *row, 0, 0]         # p[t + 1] = r[i-1][j]
+        q = [0, 0, *older, 0, 0, 0]    # q[t] = r[i-2][j]
+        older, row = row, list(map(add, map(add, p, p[1:]), map(add, p[2:], q)))
     yield row
 
 

@@ -9,7 +9,9 @@ import tracemalloc
 
 import pytest
 
-from pascal_rhombus import TruncatedSeries, checks, cli, entry_triple_sum
+from pascal_rhombus import (
+    TruncatedSeries, catalan_gf, checks, cli, column_gf, entry_triple_sum, iter_rows, motzkin2_gf,
+)
 
 
 def run_cli(capsys, *argv):
@@ -112,13 +114,86 @@ def test_recurrence_commands_hold_two_rows(monkeypatch, argv):
     # ru_maxrss would not do: after fork it can report the parent's size)
     with open(os.devnull, "w") as sink:
         monkeypatch.setattr(sys, "stdout", sink)
-        tracemalloc.start()
-        try:
-            assert cli.main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peak < 3 * 2**20
+        assert traced_peak(lambda: cli.main(argv)) < 3 * 2**20
+
+
+def traced_peak(call):
+    """The most memory ``call()`` held at once, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_row_output_is_never_held_whole(monkeypatch, tmp_path):
+    # row 1000 prints about 745 kB; made whole, its text was held three
+    # times over (each value's text, their join and its encoding), so a
+    # quarter of it over the peak of building the rows is far more than
+    # streaming needs; both peaks come from one traced run
+    build, rows_peak = cli._last_row, []
+
+    def last_row(i):
+        row = build(i)
+        rows_peak.append(tracemalloc.get_traced_memory()[1])
+        return row
+
+    monkeypatch.setattr(cli, "_last_row", last_row)
+    target = tmp_path / "row.txt"
+    with open(target, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        command_peak = traced_peak(lambda: cli.main(["row", "1000"]))
+    text_length = target.stat().st_size
+    assert text_length > 600_000
+    assert command_peak - rows_peak[0] <= text_length / 4
+
+
+def as_text(values, fmt):
+    """A sequence's output as the whole text it was once built as."""
+    if fmt == "json":
+        return json.dumps(values) + "\n"
+    return ("\n" if fmt == "csv" else ",").join(map(str, values)) + "\n"
+
+
+def last_row(i):
+    for row in iter_rows(i):
+        pass
+    return row
+
+
+def column_of(j, terms):
+    return [row[j + i] for i, row in enumerate(iter_rows(abs(j) + terms - 1)) if i >= abs(j)]
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("argv, values", [
+    (["row", "0"], lambda: last_row(0)),
+    (["row", "7"], lambda: last_row(7)),
+    (["column", "0", "--terms", "1"], lambda: column_of(0, 1)),
+    (["column", "-5", "--terms", "1"], lambda: column_of(-5, 1)),
+    (["column", "-3", "--terms", "12"], lambda: column_of(-3, 12)),
+    (["column", "4", "--terms", "9"], lambda: column_of(4, 9)),
+    (["series", "C", "--order", "1"], lambda: catalan_gf(1).integer_coefficients()),
+    (["series", "B", "--order", "25"], lambda: motzkin2_gf(25).integer_coefficients()),
+    (["series", "L-2", "--order", "14"], lambda: column_gf(2, 14).integer_coefficients()),
+], ids=["row-0", "row-7", "column-0-1", "column-neg5-1", "column-neg3-12", "column-4-9",
+        "series-C-1", "series-B-25", "series-L-2-14"])
+def test_streamed_sequences_match_the_whole_text(capsys, argv, values, fmt):
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == as_text(values(), fmt)
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_streamed_row_far_past_the_pipe_buffer(fmt):
+    # row 800 is about 480 kB, several times what a pipe buffers
+    proc = subprocess.run([sys.executable, "-m", "pascal_rhombus", "row", "800", "--format", fmt],
+                          capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    expected = as_text(last_row(800), fmt).encode()
+    assert len(expected) > 2**18
+    assert proc.stdout == expected
 
 
 def test_formats_decode_identically(capsys):
@@ -521,6 +596,15 @@ def test_unwritable_stdout(kind, code):
         assert proc.stderr.count(b"\n") == 1
     else:
         assert proc.stderr == b""
+
+
+@needs_dev_full
+def test_streamed_row_lost_to_a_full_device_fails_in_one_line():
+    # the write fails part way through the values, not on one whole text
+    proc = run_unwritable(["row", "800"], 1, "full")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"error: cannot write the output: ")
+    assert proc.stderr.count(b"\n") == 1
 
 
 def test_exact_decimals_past_the_digit_limit():

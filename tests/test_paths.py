@@ -10,6 +10,7 @@ from pascal_rhombus import (
     build_table,
     count_by_height,
     count_motzkin2,
+    iter_rows,
     motzkin2_gf,
     walk_paths,
 )
@@ -208,13 +209,18 @@ def test_walk_matches_the_listed_paths(max_n):
 def test_walk_tallies_each_path_once():
     # a path of length n >= 2 starts with U, D or H before a path of length
     # n - 1, or with H2 before one of length n - 2
-    # to 14, the CLI's default oracle cap: a walk of about 1 s
+    # to 14, the CLI's default oracle cap: a walk of about 0.4 s
     max_n = 14
     totals = [1, 3]
     while len(totals) <= max_n:
         totals.append(3 * totals[-1] + totals[-2])
-    by_height, _ = walk_paths(max_n)
+    by_height, closed = walk_paths(max_n)
     assert [sum(counts.values()) for counts in by_height] == totals
+    # each part of a length is tallied over the heights it can reach only;
+    # a range cut short loses paths from the table's rows
+    for n, row in enumerate(iter_rows(max_n)):
+        assert by_height[n] == dict(zip(range(-n, n + 1), row))
+    assert closed == motzkin2_gf(max_n + 1).integer_coefficients()
 
 
 def test_walk_rejects_bad_lengths():
@@ -225,7 +231,7 @@ def test_walk_rejects_bad_lengths():
 def test_walk_refuses_heights_past_a_byte_at_once(monkeypatch):
     # the byte range is the walk's one limit; the refusal comes before the
     # walk, whose frontier would need about 3.3^n bytes
-    def no_walk(frontier, previous):
+    def no_walk(frontier, previous, n):
         raise AssertionError("walked before refusing")
 
     monkeypatch.setattr(paths, "_extensions", no_walk)

@@ -70,6 +70,27 @@ def test_iter_rows_yields_rows_the_caller_owns():
         row[:] = [99] * (len(row) + 1)
 
 
+def entry_by_entry(depth):
+    """Rows 0..depth, each entry the sum of its four terms looked up one by one."""
+    def at(row, i, j):  # r[i][j] from row i, 0 off the triangle
+        return row[j + i] if abs(j) <= i else 0
+
+    older, row = [], [1]
+    yield row
+    for i in range(1, depth + 1):
+        older, row = row, [at(row, i - 1, j - 1) + at(row, i - 1, j) + at(row, i - 1, j + 1)
+                           + at(older, i - 2, j) for j in range(-i, i + 1)]
+        yield row
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 600])
+def test_iter_rows_matches_the_recurrence_entry_by_entry(depth):
+    count = 0
+    for count, (row, expected) in enumerate(zip(iter_rows(depth), entry_by_entry(depth)), 1):
+        assert row == expected
+    assert count == depth + 1
+
+
 def test_build_table_keeps_the_streamed_rows():
     table = build_table(50)
     assert table.depth == 50
