@@ -5,6 +5,12 @@ and ``column`` (sequences streamed from the recurrence), ``series`` (raw
 coefficients of the named generating functions F, C, B, L<j>) and ``check``
 (the one-shot cross-method verification report).
 
+A request imports, and so compiles, only the modules its command runs:
+``series`` loads ``series``; ``row`` and ``column`` load ``rhombus``;
+``entry`` loads the module of each method it runs, and with ``--method
+all`` also ``checks`` to compare them; ``check`` loads ``checks``, which
+loads every route.
+
 Each route, and each command that builds series, is capped by one flag whose
 default comes from ``REACH``; a request past its cap is refused before any
 work (``entry --method all`` skips that route with a note on stderr).  The
@@ -25,12 +31,6 @@ import os
 import re
 import sys
 from typing import Callable, Sequence, TextIO
-
-from .checks import first_disagreement, run_all
-from .closedforms import entry_convolved, entry_triple_sum
-from .paths import MAX_LENGTH, count_by_height
-from .rhombus import iter_rows
-from .series import catalan_gf, column_gf, fibonacci_gf, motzkin2_gf
 
 # a sequence's text in each format: what goes before, between and after
 # the values (json's is the text json.dumps gives a list of ints)
@@ -81,21 +81,60 @@ def _say(stream: TextIO | None, *values: object, fmt: str = "csv") -> OSError | 
     return None
 
 
+# the module each command runs, imported before its parser is built: compiled
+# after it, its modules raised the peak RSS of series L4 --order 65 from 14.73
+# to 14.84 MB and of check from 16.24 to 16.34 MB.  entry loads the module
+# of each method it runs as that method runs.
+_LOADS = {"row": "rhombus", "column": "rhombus", "series": "series", "check": "checks"}
+
+
+# Each route and command imports the module it runs when it runs, and looks
+# the function up there at call time: a request loads only the modules it
+# runs, and a rebound module attribute (a test's fake, a tracer's wrapper)
+# is honoured.
 def _last_row(i: int) -> list[int]:
+    from .rhombus import iter_rows
+
     for row in iter_rows(i):
         pass
     return row
 
 
-# the routes look the functions they call up by name at call time, so a
-# rebound module attribute (a test's fake, a tracer's wrapper) is honoured
-ROUTES: dict[str, Callable[[int, int], int]] = {
-    "recurrence": lambda i, j: _last_row(i)[j + i] if abs(j) <= i else 0,
-    "triple_sum": lambda i, j: entry_triple_sum(i, j),
-    "convolved": lambda i, j: entry_convolved(i, j),
+def _recurrence(i: int, j: int) -> int:
+    return _last_row(i)[j + i] if abs(j) <= i else 0
+
+
+def _triple_sum(i: int, j: int) -> int:
+    from .closedforms import entry_triple_sum
+
+    return entry_triple_sum(i, j)
+
+
+def _convolved(i: int, j: int) -> int:
+    from .closedforms import entry_convolved
+
+    return entry_convolved(i, j)
+
+
+def _series(i: int, j: int) -> int:
+    from .series import column_gf
+
     # x^i of a truncated series is final at order i + 1
-    "series": lambda i, j: column_gf(abs(j), i + 1).integer_coefficients()[i],
-    "oracle": lambda i, j: count_by_height(i).get(j, 0),
+    return column_gf(abs(j), i + 1).integer_coefficients()[i]
+
+
+def _oracle(i: int, j: int) -> int:
+    from .paths import count_by_height
+
+    return count_by_height(i).get(j, 0)
+
+
+ROUTES: dict[str, Callable[[int, int], int]] = {
+    "recurrence": _recurrence,
+    "triple_sum": _triple_sum,
+    "convolved": _convolved,
+    "series": _series,
+    "oracle": _oracle,
 }
 
 # The reach of each route, and of each command that builds series: the flag
@@ -118,21 +157,35 @@ REACH: dict[str, tuple[str, int]] = {
     "check": ("--max-order", 150),
     "check --max-i": ("--max-depth", 280),
 }
+
+
+def _longest_walk() -> int:
+    from .paths import MAX_LENGTH
+
+    return MAX_LENGTH
+
+
 # each cap flag: how its refusal names the request, how the cost grows, and
-# its largest value (one byte per path holds heights within +-MAX_LENGTH
-# only, so the oracle's walk refuses a longer length under any cap)
+# what gives its largest value, asked only when the flag is given (one byte
+# per path holds heights within +-paths.MAX_LENGTH only, so the oracle's walk
+# refuses a longer length under any cap; row, column and series take no
+# --oracle-cap and never load paths)
 _CAPS = {
     "--max-depth": ("row {} is past", "the cost grows faster than the cube of the depth", None),
     "--max-order": ("order {} is above", "the cost grows faster than the cube of the order", None),
     "--oracle-cap": ("length {} is past", "time and memory grow about 3.3x per unit of length",
-                     MAX_LENGTH),
+                     _longest_walk),
 }
+
+
+def _given(flag: str, args: argparse.Namespace) -> int | None:
+    return getattr(args, flag[2:].replace("-", "_"), None)
 
 
 def _cap(name: str, args: argparse.Namespace) -> int:
     """The cap on ``name``: its flag as given, else the flag's default in REACH."""
     flag, default = REACH[name]
-    given = getattr(args, flag[2:].replace("-", "_"), None)
+    given = _given(flag, args)
     return default if given is None else given
 
 
@@ -152,9 +205,12 @@ def _in_range(name: str, value: int, low: int, high: int | None = None) -> None:
 
 
 def _caps_in_range(args: argparse.Namespace) -> None:
-    """The one range rule of every cap, whether or not the request reads it."""
-    for name, (flag, _) in REACH.items():
-        _in_range(flag, _cap(name, args), 0, _CAPS[flag][2])
+    """The one range rule of every cap given, whether or not the request
+    reads it; each default in REACH is within it."""
+    for flag, _ in REACH.values():
+        given, largest = _given(flag, args), _CAPS[flag][2]
+        if given is not None:
+            _in_range(flag, given, 0, largest() if largest else None)
 
 
 def _answer(method: str, i: int, j: int, args: argparse.Namespace) -> int:
@@ -183,6 +239,8 @@ def _cmd_entry(args: argparse.Namespace) -> Output:
     if not values:
         raise UsageError(f"every method is past its reach at (i={i}, j={j})")
 
+    from .checks import first_disagreement
+
     detail = first_disagreement([(f"(i={i}, j={j})", values)])
     if detail:
         _say(sys.stderr, detail)
@@ -198,6 +256,8 @@ def _cmd_row(args: argparse.Namespace) -> Output:
 
 
 def _cmd_column(args: argparse.Namespace) -> Output:
+    from .rhombus import iter_rows
+
     _in_range("--terms", args.terms, 1)
     j = args.j
     depth = abs(j) + args.terms - 1
@@ -209,6 +269,8 @@ def _cmd_column(args: argparse.Namespace) -> Output:
 
 
 def _cmd_series(args: argparse.Namespace) -> Output:
+    from .series import catalan_gf, column_gf, fibonacci_gf, motzkin2_gf
+
     _in_range("--order", args.order, 1)
     name = args.name
     column = re.fullmatch(r"L(-?\d+)", name)
@@ -223,6 +285,8 @@ def _cmd_series(args: argparse.Namespace) -> Output:
 
 
 def _cmd_check(args: argparse.Namespace) -> Output:
+    from .checks import run_all
+
     _in_range("--max-i", args.max_i, 1)
     _reach("check --max-i", args.max_i, args)
     _in_range("--order", args.order, 1)
@@ -302,6 +366,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     # 4300-digit int->str limit near row 8300 (the call exists from 3.10.7)
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the command comes first: the parser takes no option before it but -h.
+    # __import__, not importlib.import_module: only the interpreter's own
+    # import reports to python -X importtime
+    home = _LOADS.get(argv[0]) if argv else None
+    if home:
+        __import__(f"{__package__}.{home}")
     args = build_parser().parse_args(argv)
     try:
         _caps_in_range(args)

@@ -10,7 +10,8 @@ import tracemalloc
 import pytest
 
 from pascal_rhombus import (
-    TruncatedSeries, catalan_gf, checks, cli, column_gf, entry_triple_sum, iter_rows, motzkin2_gf,
+    TruncatedSeries, catalan_gf, checks, cli, closedforms, column_gf, entry_triple_sum, iter_rows,
+    motzkin2_gf, paths, rhombus, series,
 )
 
 
@@ -271,6 +272,13 @@ def test_out_of_range_bounds_are_usage_errors(capsys, argv):
     assert err == f"error: {argv[-2]} must be {allowed[argv[-2]]}, got {argv[-1]}\n"
 
 
+def test_every_default_cap_is_within_its_range():
+    # the range rule reads only the cap flags a request gives
+    for flag, default in cli.REACH.values():
+        largest = cli._CAPS[flag][2]
+        assert 0 <= default <= (largest() if largest else default), flag
+
+
 @pytest.mark.parametrize("argv, order, row", [
     (["series", "L1"], cap("series L<j>") + 1, "series L<j>"),
     (["series", "L1"], 10**6, "series L<j>"),
@@ -285,8 +293,9 @@ def test_out_of_range_bounds_are_usage_errors(capsys, argv):
 ], ids=["series", "series-1e6", "entry-series", "entry-all", "check", "series-B", "series-C-1e5",
         "series-F"])
 def test_order_above_the_cap_is_refused_at_once(capsys, monkeypatch, argv, order, row):
-    for name in ("column_gf", "run_all", "fibonacci_gf", "catalan_gf", "motzkin2_gf"):
-        monkeypatch.setattr(cli, name, never)
+    for module, name in ((series, "column_gf"), (checks, "run_all"), (series, "fibonacci_gf"),
+                         (series, "catalan_gf"), (series, "motzkin2_gf")):
+        monkeypatch.setattr(module, name, never)
     # entry has no --order: its series method reads x^i at order i + 1
     if argv[0] != "entry":
         argv = [*argv, "--order", str(order)]
@@ -353,8 +362,9 @@ def test_max_order_moves_the_cap(capsys):
         "entry-triple_sum-1e9", "entry-convolved", "entry-convolved-5000", "check",
         "check-100000"])
 def test_depth_above_the_cap_is_refused_at_once(capsys, monkeypatch, argv, depth, row):
-    for name in ("iter_rows", "entry_triple_sum", "entry_convolved", "run_all"):
-        monkeypatch.setattr(cli, name, never)
+    for module, name in ((rhombus, "iter_rows"), (closedforms, "entry_triple_sum"),
+                         (closedforms, "entry_convolved"), (checks, "run_all")):
+        monkeypatch.setattr(module, name, never)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -362,9 +372,10 @@ def test_depth_above_the_cap_is_refused_at_once(capsys, monkeypatch, argv, depth
 
 
 def test_entry_all_past_every_reach_is_a_usage_error(capsys, monkeypatch):
-    for name in ("iter_rows", "entry_triple_sum", "entry_convolved", "column_gf",
-                 "count_by_height"):
-        monkeypatch.setattr(cli, name, never)
+    for module, name in ((rhombus, "iter_rows"), (closedforms, "entry_triple_sum"),
+                         (closedforms, "entry_convolved"), (series, "column_gf"),
+                         (paths, "count_by_height")):
+        monkeypatch.setattr(module, name, never)
     code, out, err = run_cli(capsys, "entry", "5000", "2", "--method", "all")
     assert code == 2
     assert out == ""
@@ -410,7 +421,7 @@ def test_internal_failure_exits_1(capsys, monkeypatch):
     def broken(i, j):
         raise ValueError("invariant violated")
 
-    monkeypatch.setattr(cli, "entry_convolved", broken)
+    monkeypatch.setattr(closedforms, "entry_convolved", broken)
     code, out, err = run_cli(capsys, "entry", "4", "2", "--method", "convolved")
     assert code == 1
     assert out == ""
@@ -424,8 +435,8 @@ def test_internal_failure_exits_1(capsys, monkeypatch):
 ], ids=["entry", "check", "check-lowered"])
 def test_oracle_length_above_the_cap_is_refused_at_once(capsys, monkeypatch, argv, length,
                                                         oracle_cap):
-    for name in ("count_by_height", "run_all"):
-        monkeypatch.setattr(cli, name, never)
+    for module, name in ((paths, "count_by_height"), (checks, "run_all")):
+        monkeypatch.setattr(module, name, never)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == (f"error: length {length} is past --oracle-cap {oracle_cap}; raise the cap "
@@ -435,7 +446,7 @@ def test_oracle_length_above_the_cap_is_refused_at_once(capsys, monkeypatch, arg
 def test_oracle_cap_past_the_byte_range_is_a_usage_error(capsys, monkeypatch):
     # one byte per path holds heights within +-63 only, so no --oracle-cap
     # above 63 can be served; it is refused before the walk
-    monkeypatch.setattr(cli, "count_by_height", never)
+    monkeypatch.setattr(paths, "count_by_height", never)
     code, out, err = run_cli(
         capsys, "entry", "1200", "0", "--method", "oracle", "--oracle-cap", "1200"
     )
@@ -459,7 +470,7 @@ def test_recursion_error_exits_1(capsys, monkeypatch):
     def too_deep(n):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr(cli, "count_by_height", too_deep)
+    monkeypatch.setattr(paths, "count_by_height", too_deep)
     code, out, err = run_cli(capsys, "entry", "5", "0", "--method", "oracle")
     assert code == 1
     assert out == ""
@@ -491,7 +502,7 @@ def test_check_skips_oracle_at_zero(capsys):
 
 
 def test_entry_all_disagreement_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "entry_triple_sum", lambda i, j: 999)
+    monkeypatch.setattr(closedforms, "entry_triple_sum", lambda i, j: 999)
     code, out, err = run_cli(capsys, "entry", "4", "2", "--method", "all")
     assert code == 1
     assert "999" in out
@@ -502,7 +513,7 @@ def test_check_reports_failure_and_exits_1(capsys, monkeypatch):
     from pascal_rhombus.checks import CheckResult
 
     fake = [CheckResult("method-agreement", False, "first disagreement at (i=7, j=3)")]
-    monkeypatch.setattr(cli, "run_all", lambda **kwargs: fake)
+    monkeypatch.setattr(checks, "run_all", lambda **kwargs: fake)
     code, out, _ = run_cli(capsys, "check")
     assert code == 1
     assert out.startswith("FAIL")
@@ -618,24 +629,52 @@ def test_exact_decimals_past_the_digit_limit():
     assert max(len(v) for v in proc.stdout.split(",")) > 640
 
 
-def test_import_leaves_dataclasses_inspect_and_json_out():
-    # every request pays for the modules the CLI imports; json loads only
-    # when --format json asks for it, and series of ints need no fractions
+def run_fresh(code):
+    """``code`` run in a fresh ``python -S`` with the package on its path."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    code = (
-        "import sys\n"
-        "from pascal_rhombus import cli\n"
-        "out = {'dataclasses', 'inspect', 'json', 'fractions', 'decimal', 'numbers'}\n"
-        "print(sorted(out & set(sys.modules)))\n"
-        "sys.exit(cli.main(['series', 'F', '--order', '5', '--format', 'json']))\n"
-    )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-S", "-c", code],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
     )
+
+
+def test_import_leaves_dataclasses_inspect_and_json_out():
+    # every request pays for the modules the CLI imports; json loads only
+    # when --format json asks for it, and series of ints need no fractions
+    proc = run_fresh(
+        "import sys\n"
+        "from pascal_rhombus import cli\n"
+        "code = cli.main(['series', 'F', '--order', '5', '--format', 'json'])\n"
+        "out = {'dataclasses', 'inspect', 'json', 'fractions', 'decimal', 'numbers'}\n"
+        "print(sorted(out & set(sys.modules)))\n"
+        "sys.exit(code)\n"
+    )
     assert proc.returncode == 0, proc.stderr
-    loaded, printed = proc.stdout.splitlines()
+    printed, loaded = proc.stdout.splitlines()
     assert loaded == "[]"
     assert json.loads(printed) == [0, 1, 1, 2, 3]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (None, set()),
+    (["series", "F"], {"series"}),
+    (["row", "3"], {"rhombus"}),
+    (["column", "0", "--terms", "3"], {"rhombus"}),
+    (["entry", "5", "0", "--method", "oracle"], {"paths"}),
+    (["entry", "5", "0", "--method", "triple_sum"], {"closedforms", "series"}),
+    (["check", "--max-i", "5", "--max-oracle-n", "3", "--order", "5"],
+     {"checks", "closedforms", "paths", "rhombus", "series"}),
+], ids=["import", "series", "row", "column", "entry-oracle", "entry-triple_sum", "check"])
+def test_a_request_loads_only_the_modules_it_runs(argv, loaded):
+    # each request compiles every module it loads: the package alone loads
+    # none, and a command only those it runs (closedforms builds on series)
+    code = "import sys\nimport pascal_rhombus\n"
+    if argv is not None:
+        code += f"from pascal_rhombus import cli\nassert cli.main({argv!r}) == 0\n"
+        loaded = loaded | {"cli"}
+    code += "print(sorted(m for m in sys.modules if m.startswith('pascal_rhombus.')))\n"
+    proc = run_fresh(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(sorted(f"pascal_rhombus.{m}" for m in loaded))
