@@ -50,6 +50,7 @@ __all__ = [
 Points = Iterable[tuple[str, dict[str, object]]]
 # L_0 .. L_max_j of each column route, by method
 Columns = dict[str, list[TruncatedSeries]]
+_COLUMN_J_CAP = 6  # L_0 .. L_6 of each column route: the most any suite reads
 
 
 class CheckResult(NamedTuple):
@@ -98,10 +99,9 @@ def check_method_agreement(max_i: int = 40, series_order: int = 30,
     """recurrence = triple sum = convolved form for all entries to max_i,
     and = series coefficients where the closed-form columns reach."""
     name = f"method-agreement (i <= {max_i})"
-    series_j_cap = 6
     table = build_table(max_i)
     if series_columns is None:
-        series_columns = column_gfs(min(series_j_cap, max_i), series_order)
+        series_columns = column_gfs(min(_COLUMN_J_CAP, max_i), series_order)
 
     def points():
         for i in range(max_i + 1):
@@ -111,7 +111,7 @@ def check_method_agreement(max_i: int = 40, series_order: int = 30,
                     "triple_sum": entry_triple_sum(i, j),
                     "convolved": entry_convolved(i, j),
                 }
-                if abs(j) <= series_j_cap and i < series_order:
+                if abs(j) <= _COLUMN_J_CAP and i < series_order:
                     values["series"] = series_columns[abs(j)].coeffs[i]
                 yield f"(i={i}, j={j})", values
 
@@ -169,11 +169,10 @@ def check_column_functional_equation(order: int = 30, columns: Columns | None = 
 
 def check_column_routes(order: int = 30, columns: Columns | None = None) -> CheckResult:
     """Both column constructions agree and give non-negative coefficients."""
-    max_j = 6
-    name = f"column-route-agreement (j <= {max_j})"
+    name = f"column-route-agreement (j <= {_COLUMN_J_CAP})"
     if columns is None:
-        columns = {method: column_gfs(max_j, order, method) for method in COLUMN_METHODS}
-    for j in range(max_j + 1):
+        columns = {method: column_gfs(_COLUMN_J_CAP, order, method) for method in COLUMN_METHODS}
+    for j in range(_COLUMN_J_CAP + 1):
         routes = {method: columns[method][j] for method in COLUMN_METHODS}
         detail = first_disagreement(_coefficients(f" of column {j}", routes))
         if detail:
@@ -240,8 +239,7 @@ def run_all(
     series_order: int = 30,
 ) -> list[CheckResult]:
     """Run every suite; the CLI's one-shot consistency check."""
-    # L_0 .. L_6 is the most any suite reads
-    columns = {method: column_gfs(6, series_order, method) for method in COLUMN_METHODS}
+    columns = {method: column_gfs(_COLUMN_J_CAP, series_order, method) for method in COLUMN_METHODS}
     return [
         check_method_agreement(max_i, series_order, columns["closed_form"]),
         check_oracle_agreement(max_oracle_n),

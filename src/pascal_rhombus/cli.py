@@ -120,7 +120,7 @@ def _series(i: int, j: int) -> int:
     from .series import column_gf
 
     # x^i of a truncated series is final at order i + 1
-    return column_gf(abs(j), i + 1).integer_coefficients()[i]
+    return column_gf(abs(j), i + 1).coeffs[i]
 
 
 def _oracle(i: int, j: int) -> int:
@@ -165,16 +165,16 @@ def _longest_walk() -> int:
     return MAX_LENGTH
 
 
-# each cap flag: how its refusal names the request, how the cost grows, and
-# what gives its largest value, asked only when the flag is given (one byte
-# per path holds heights within +-paths.MAX_LENGTH only, so the oracle's walk
-# refuses a longer length under any cap; row, column and series take no
-# --oracle-cap and never load paths)
+# each cap flag, in the order their ranges are checked: how its refusal
+# names the request, how the cost grows, and what gives its largest value,
+# asked only when the flag is given (one byte per path holds heights within
+# +-paths.MAX_LENGTH only, so the oracle's walk refuses a longer length under
+# any cap; row, column and series take no --oracle-cap and never load paths)
 _CAPS = {
     "--max-depth": ("row {} is past", "the cost grows faster than the cube of the depth", None),
-    "--max-order": ("order {} is above", "the cost grows faster than the cube of the order", None),
     "--oracle-cap": ("length {} is past", "time and memory grow about 3.3x per unit of length",
                      _longest_walk),
+    "--max-order": ("order {} is above", "the cost grows faster than the cube of the order", None),
 }
 
 
@@ -207,8 +207,8 @@ def _in_range(name: str, value: int, low: int, high: int | None = None) -> None:
 def _caps_in_range(args: argparse.Namespace) -> None:
     """The one range rule of every cap given, whether or not the request
     reads it; each default in REACH is within it."""
-    for flag, _ in REACH.values():
-        given, largest = _given(flag, args), _CAPS[flag][2]
+    for flag, (_, _, largest) in _CAPS.items():
+        given = _given(flag, args)
         if given is not None:
             _in_range(flag, given, 0, largest() if largest else None)
 

@@ -7,7 +7,7 @@ the entry directly above in the row before that:
 
 with r[0][0] = 1 the only seed (everything off the triangle |j| <= i, row -1
 included, is 0).  This is OEIS A059317 read by rows.  :func:`iter_rows`
-streams the rows holding two at a time; :func:`build_table` keeps them all.
+streams the rows, keeping the last two padded; :func:`build_table` keeps all.
 Both halves of every row are computed independently; the left-right
 symmetry is a theorem the tests verify, never a storage shortcut.
 """
@@ -54,15 +54,14 @@ def iter_rows(depth: int) -> Iterator[list[int]]:
     """Rows 0..depth, left to right, each a new list that the caller owns."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    older, row = [], [1]  # rows i-2 and i-1: row -1 is empty (all 0), row 0 the seed
+    q, row = [0, 0, 0], [1]  # row -1 padded (all 0), and the seed row 0
     for _ in range(depth):
-        yield list(row)  # a copy, because the next row is computed from ``row``
-        # pad the two source rows so that the four terms of r[i][j] are
-        # p[t], p[t + 1], p[t + 2] and q[t] for t = j + i, zeros off the
-        # triangle; map(add) adds them in C and stops at p[2:], 2i + 1 long
-        p = [0, 0, *row, 0, 0]         # p[t + 1] = r[i-1][j]
-        q = [0, 0, *older, 0, 0, 0]    # q[t] = r[i-2][j]
-        older, row = row, list(map(add, map(add, p, p[1:]), map(add, p[2:], q)))
+        # padded before the yield, as the caller may change the row: r[i][j] =
+        # p[t] + p[t + 1] + p[t + 2] + q[t] for t = j + i, q being row i-2
+        # padded a step earlier, as long as row i; map(add) adds them in C
+        p = [0, 0, *row, 0, 0]  # p[t + 1] = r[i-1][j]
+        yield row
+        row, q = list(map(add, map(add, p, p[1:]), map(add, p[2:], q))), p
     yield row
 
 

@@ -252,7 +252,9 @@ def test_entry_negative_row_is_usage_error(capsys):
 
 
 # each argv ends with the flag out of range and its value; a cap flag is
-# checked whether or not the request reads it
+# checked whether or not the request reads it, and of several out of range
+# --max-depth is named first, then --oracle-cap, then --max-order, in
+# whatever order they are given
 @pytest.mark.parametrize("argv", [
     ["series", "F", "--order", "0"],
     ["entry", "3", "0", "--oracle-cap", "-1"],
@@ -262,6 +264,8 @@ def test_entry_negative_row_is_usage_error(capsys):
     ["row", "3", "--max-depth", "-1"],
     ["series", "L1", "--max-order", "-1"],
     ["entry", "3", "0", "--method", "oracle", "--max-order", "-1"],
+    ["entry", "5", "0", "--max-order", "-1", "--oracle-cap", "99"],
+    ["entry", "5", "0", "--max-order", "-1", "--oracle-cap", "99", "--max-depth", "-1"],
 ])
 def test_out_of_range_bounds_are_usage_errors(capsys, argv):
     allowed = {"--order": ">= 1", "--oracle-cap": "0 to 63", "--max-depth": ">= 0",
