@@ -146,7 +146,7 @@ ROUTES: dict[str, Callable[[int, int], int]] = {
 # --method triple_sum, entry 550 0 --method convolved, check --max-i 280;
 # series B or C --order 1500 about 2 s, series L<j> --order 700 3-5 s, from
 # L1 to L699), check --order 150 about 0.3 s and the oracle's walk to 14
-# about 0.5 s.
+# about 0.2 s.
 REACH: dict[str, tuple[str, int]] = {
     "recurrence": ("--max-depth", 3000),
     "triple_sum": ("--max-depth", 4500),

@@ -13,16 +13,21 @@ with a byte per path.  They are the U, D and H extensions of the paths of
 length n - 1 and the H2 extensions of those of length n - 2, each extension
 one ``bytes.translate`` through a step table.  Each extension is tallied
 over its own paths: one translate through a table that takes the step and
-drops the non-negative flag from every path but a closed one, then one
-``bytes.count`` per height the extension can reach and one of the closed
-paths.  So no tally is ever derived from the tally of a shorter length.
-This is the ground truth the fast recurrence table and the generating
-functions are checked against, so it is written to be obviously correct
-rather than fast.  Its time and memory grow about 3.3x per unit of length
-(a walk to 14 takes about 0.4 s and holds about 11 MB at its peak, on
-CPython 3.11, 2-CPU x86-64); how far to walk is the caller's choice.  The
-one limit here is of the format: lengths past ``MAX_LENGTH`` have heights
-that do not fit in a byte, and are refused.
+drops the non-negative flag from every path but a closed one gives the
+tally, on which the closed paths and the heights within 2 of 0 are
+counted, one ``bytes.count`` each.  The tally is then made again without
+the paths already counted, and the heights further out are counted in
+rings (within 5, within 9, the rest), each ring on what the rings before
+it leave.  The paths counted must be all of the extension's: one at a
+height it cannot reach stops the walk with an error.  So no tally is ever
+derived from the tally of a shorter length.  This is the ground truth the
+fast recurrence table and the generating functions are checked against,
+so it is written to be obviously correct rather than fast.  Its time and
+memory grow about 3.3x per unit of length (a walk to 14 takes about 0.2 s
+and holds about 11 MB at its peak, on CPython 3.11, 2-CPU x86-64); how far
+to walk is the caller's choice.  The one limit here is of the format:
+lengths past ``MAX_LENGTH`` have heights that do not fit in a byte, and
+are refused.
 """
 
 from __future__ import annotations
@@ -56,6 +61,14 @@ _CLOSED = _ZERO | _NONNEGATIVE  # a non-negative path at height 0
 _STEP = {rise: _step_table(rise) for rise in (1, -1, 0)}
 _TALLY = {rise: bytes(b if b == _CLOSED else b & ~_NONNEGATIVE for b in table)
           for rise, table in _STEP.items()}
+# a part is tallied in rings of heights, nearest 0 first; the largest
+# |height| of each ring
+_RINGS = (2, 5, 9, MAX_LENGTH)
+# for each rise, the bytes of the paths the first ring takes: those whose
+# tally is closed or a height within it
+_FIRST = {rise: bytes(b for b in range(256)
+                      if table[b] == _CLOSED or abs(table[b] - _ZERO) <= _RINGS[0])
+          for rise, table in _TALLY.items()}
 
 
 def _extensions(frontier: bytes, previous: bytes, n: int) -> Iterator[tuple[bytes, int, range]]:
@@ -67,6 +80,38 @@ def _extensions(frontier: bytes, previous: bytes, n: int) -> Iterator[tuple[byte
     yield frontier, -1, range(-n, n - 1)
     yield frontier, 0, range(1 - n, n)
     yield previous, 0, range(2 - n, n - 1)
+
+
+def _tally(extended: bytes, rise: int, heights: range, counts: dict[int, int]) -> tuple[int, int]:
+    """Add the final heights of one part's paths, those ``extended``
+    extends by a step of this rise, to ``counts``; return the number of its
+    closed paths and of all the paths counted.
+
+    The closed paths and the first ring are counted on the full tally,
+    which is then released.  The rest of the part is tallied again without
+    the paths already counted, and each further ring is counted on what
+    the rings before it leave, so the outer heights, which few paths reach,
+    are counted over ever shorter bytes.  Every count reads this part's
+    own paths."""
+    rest = extended.translate(_TALLY[rise])
+    closed = tallied = rest.count(_CLOSED)  # at height 0, flag kept
+    counts[0] += closed
+    reach, inner = max(-heights.start, heights.stop - 1), -1
+    for outer in _RINGS:
+        ring = [h for h in heights if inner < abs(h) <= outer]
+        for height in ring:
+            here = rest.count(height + _ZERO)
+            counts[height] += here
+            tallied += here
+        if reach <= outer:
+            break
+        if inner < 0:
+            del rest  # the full tally goes before the rest is made
+            rest = extended.translate(_TALLY[rise], _FIRST[rise])
+        else:
+            rest = rest.translate(None, bytes(h + _ZERO for h in ring))
+        inner = outer
+    return closed, tallied
 
 
 def walk_paths(max_n: int) -> tuple[list[dict[int, int]], list[int]]:
@@ -82,18 +127,18 @@ def walk_paths(max_n: int) -> tuple[list[dict[int, int]], list[int]]:
     previous, frontier = b"", bytes([_CLOSED])  # lengths -1 and 0
     for n in range(max_n + 1):
         counts, closed_count, kept = dict.fromkeys(range(-n, n + 1), 0), 0, []
-        # each part is tallied from one translate of the paths it extends;
-        # only a level still to be extended is made and joined, so the
-        # longest never is
+        # each part is tallied over its own paths, one part at a time; only
+        # a level still to be extended is made and joined, so the longest
+        # never is
         parts = _extensions(frontier, previous, n) if n else [(frontier, 0, range(1))]
         for extended, rise, heights in parts:
-            tally = extended.translate(_TALLY[rise])
-            closed_here = tally.count(_CLOSED)  # at height 0, flag kept
+            closed_here, tallied = _tally(extended, rise, heights, counts)
             closed_count += closed_here
-            counts[0] += closed_here
-            for height in heights:
-                counts[height] += tally.count(height + _ZERO)
-            del tally  # before the next part is tallied
+            if tallied != len(extended):
+                raise ValueError(
+                    f"length {n}: {len(extended) - tallied} of the {len(extended)} paths of one "
+                    "part left over, at heights it cannot reach"
+                )
             if 0 < n < max_n:
                 kept.append(extended.translate(_STEP[rise]) if rise else extended)
         by_height.append({h: c for h, c in counts.items() if c})

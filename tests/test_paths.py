@@ -1,5 +1,6 @@
 """The exhaustive path oracle: enumeration, counts, recurrence."""
 
+import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
@@ -8,6 +9,7 @@ import pytest
 
 from pascal_rhombus import (
     build_table,
+    cli,
     count_by_height,
     count_motzkin2,
     iter_rows,
@@ -196,6 +198,16 @@ def test_counts_match_table_entries():
             assert counts.get(j, 0) == table.entry(n, j)
 
 
+def path_totals(max_n):
+    """The number of paths of each length up to max_n: a path of length
+    n >= 2 starts with U, D or H before a path of length n - 1, or with H2
+    before one of length n - 2."""
+    totals = [1, 3]
+    while len(totals) <= max_n:
+        totals.append(3 * totals[-1] + totals[-2])
+    return totals[:max_n + 1]
+
+
 @pytest.mark.parametrize("max_n", [0, 1, 2, 8])
 def test_walk_matches_the_listed_paths(max_n):
     by_height, closed = walk_paths(max_n)
@@ -207,15 +219,10 @@ def test_walk_matches_the_listed_paths(max_n):
 
 
 def test_walk_tallies_each_path_once():
-    # a path of length n >= 2 starts with U, D or H before a path of length
-    # n - 1, or with H2 before one of length n - 2
-    # to 14, the CLI's default oracle cap: a walk of about 0.4 s
+    # to 14, the CLI's default oracle cap: a walk of about 0.2 s
     max_n = 14
-    totals = [1, 3]
-    while len(totals) <= max_n:
-        totals.append(3 * totals[-1] + totals[-2])
     by_height, closed = walk_paths(max_n)
-    assert [sum(counts.values()) for counts in by_height] == totals
+    assert [sum(counts.values()) for counts in by_height] == path_totals(max_n)
     # each part of a length is tallied over the heights it can reach only;
     # a range cut short loses paths from the table's rows
     for n, row in enumerate(iter_rows(max_n)):
@@ -238,3 +245,34 @@ def test_walk_refuses_heights_past_a_byte_at_once(monkeypatch):
     too_long = paths.MAX_LENGTH + 1
     with pytest.raises(ValueError, match=f"past {paths.MAX_LENGTH}"):
         walk_paths(too_long)
+
+
+def test_walk_refuses_paths_left_out_of_the_tally(capsys, monkeypatch):
+    # a part is counted height by height over the heights it can reach; a
+    # path tallied anywhere else is not dropped in silence but stops the
+    # walk, and the CLI reports it as an internal failure
+    table = bytearray(paths._TALLY[1])
+    table[paths._ZERO] = 40 + paths._ZERO  # U from height 0 to height 40
+    monkeypatch.setitem(paths._TALLY, 1, bytes(table))
+    with pytest.raises(ValueError, match=r"^length 3: 1 of the 10 paths of one part left over"):
+        walk_paths(4)
+    assert cli.main(["entry", "4", "0", "--method", "oracle"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal: length 3: 1 of the 10 paths")
+
+
+def test_walk_holds_two_levels_and_one_tally():
+    # at its last length the walk holds the paths of the two before it and
+    # the tally of one part, as long as the longer of them; a tally kept
+    # beside its own rest, or a level made that is never extended, breaks
+    # the bound
+    max_n = 13
+    totals = path_totals(max_n)
+    tracemalloc.start()
+    try:
+        walk_paths(max_n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.02 * (2 * totals[max_n - 1] + totals[max_n - 2])
