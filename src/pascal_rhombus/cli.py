@@ -81,13 +81,6 @@ def _say(stream: TextIO | None, *values: object, fmt: str = "csv") -> OSError | 
     return None
 
 
-# the module each command runs, imported before its parser is built: compiled
-# after it, its modules raised the peak RSS of series L4 --order 65 from 14.73
-# to 14.84 MB and of check from 16.24 to 16.34 MB.  entry loads the module
-# of each method it runs as that method runs.
-_LOADS = {"row": "rhombus", "column": "rhombus", "series": "series", "check": "checks"}
-
-
 # Each route and command imports the module it runs when it runs, and looks
 # the function up there at call time: a request loads only the modules it
 # runs, and a rebound module attribute (a test's fake, a tracer's wrapper)
@@ -366,13 +359,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     # 4300-digit int->str limit near row 8300 (the call exists from 3.10.7)
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # the command comes first: the parser takes no option before it but -h.
-    # __import__, not importlib.import_module: only the interpreter's own
-    # import reports to python -X importtime
-    home = _LOADS.get(argv[0]) if argv else None
-    if home:
-        __import__(f"{__package__}.{home}")
     args = build_parser().parse_args(argv)
     try:
         _caps_in_range(args)
@@ -382,6 +368,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except (ValueError, IndexError, RecursionError) as exc:
         _say(sys.stderr, f"error: internal: {exc}")
+        return EXIT_DISAGREEMENT
+    except MemoryError:
+        _say(sys.stderr, "error: internal: out of memory")
         return EXIT_DISAGREEMENT
     # output with no reader left keeps the verdict; output lost on its way
     # to a reader (a full disk, say) is a failure

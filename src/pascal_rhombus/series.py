@@ -306,8 +306,6 @@ def _fib_denominator(order: int) -> TruncatedSeries:
 
 def fibonacci_gf(order: int) -> TruncatedSeries:
     """x / (1 - x - x^2): coefficients 0, 1, 1, 2, 3, 5, 8, ..."""
-    if order < 1:
-        raise ValueError(f"order must be positive, got {order}")
     return TruncatedSeries.monomial(1, order) * _fib_denominator(order).reciprocal()
 
 

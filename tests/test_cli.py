@@ -421,15 +421,21 @@ def test_max_depth_moves_the_cap(capsys, monkeypatch):
         assert run_cli(capsys, *argv, "--max-depth", "45")[:2] == expected
 
 
-def test_internal_failure_exits_1(capsys, monkeypatch):
+@pytest.mark.parametrize("exc, line", [
+    (ValueError("invariant violated"), "invariant violated"),
+    (IndexError("list index out of range"), "list index out of range"),
+    # no route recurses deeply, but a RecursionError is still an internal failure
+    (RecursionError("maximum recursion depth exceeded"), "maximum recursion depth exceeded"),
+    (MemoryError(), "out of memory"),
+], ids=["ValueError", "IndexError", "RecursionError", "MemoryError"])
+def test_internal_failure_exits_1(capsys, monkeypatch, exc, line):
     def broken(i, j):
-        raise ValueError("invariant violated")
+        raise exc
 
     monkeypatch.setattr(closedforms, "entry_convolved", broken)
     code, out, err = run_cli(capsys, "entry", "4", "2", "--method", "convolved")
-    assert code == 1
-    assert out == ""
-    assert err.strip() == "error: internal: invariant violated"
+    assert (code, out) == (1, "")
+    assert err == f"error: internal: {line}\n"
 
 
 @pytest.mark.parametrize("argv, length, oracle_cap", [
@@ -467,18 +473,6 @@ def test_inexact_square_root_is_an_internal_failure(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "check")
     assert (code, out) == (1, "")
     assert err == "error: internal: coefficient of x^1 of the square root is 1/2, not an integer\n"
-
-
-def test_recursion_error_exits_1(capsys, monkeypatch):
-    # no route recurses deeply, but a RecursionError is still an internal failure
-    def too_deep(n):
-        raise RecursionError("maximum recursion depth exceeded")
-
-    monkeypatch.setattr(paths, "count_by_height", too_deep)
-    code, out, err = run_cli(capsys, "entry", "5", "0", "--method", "oracle")
-    assert code == 1
-    assert out == ""
-    assert err.strip() == "error: internal: maximum recursion depth exceeded"
 
 
 def test_bad_flag_exits_2():

@@ -21,7 +21,7 @@ from pascal_rhombus import (
     fibonacci_gf,
     motzkin2_gf,
 )
-from pascal_rhombus.series import COLUMN_METHODS
+from pascal_rhombus.series import COLUMN_METHODS, MOTZKIN2_METHODS
 
 FIBONACCI = [0, 1, 1, 2, 3, 5, 8, 13]
 # convolution of FIBONACCI with itself, by hand
@@ -400,6 +400,15 @@ def test_column_gf_rejects_bad_arguments():
         column_gfs(-1, 10)
     with pytest.raises(ValueError, match="order must be positive"):
         column_gfs(3, 0)
+
+
+@pytest.mark.parametrize("build", [
+    fibonacci_gf, catalan_gf,
+    *(lambda order, method=method: motzkin2_gf(order, method) for method in MOTZKIN2_METHODS),
+], ids=["fibonacci", "catalan", *(f"motzkin2-{method}" for method in MOTZKIN2_METHODS)])
+def test_named_series_refuse_order_zero_in_one_message(build):
+    with pytest.raises(ValueError, match=r"^order must be positive, got 0$"):
+        build(0)
 
 
 @pytest.mark.parametrize("method", COLUMN_METHODS)
