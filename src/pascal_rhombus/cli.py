@@ -137,8 +137,8 @@ ROUTES: dict[str, Callable[[int, int], int]] = {
 # sweep every row up to --max-i.  At a default one request takes about
 # 4-7 s on CPython 3.11, 2-CPU x86-64 (row 3000 about 5 s, entry 4500 0
 # --method triple_sum, entry 550 0 --method convolved, check --max-i 280;
-# series B or C --order 1500 about 2 s, series L<j> --order 700 3-5 s, from
-# L1 to L699), check --order 150 about 0.3 s and the oracle's walk to 14
+# series B or C --order 1500 about 1 s, series L<j> --order 700 2.4-3.1 s,
+# from L1 to L699), check --order 150 about 0.2 s and the oracle's walk to 14
 # about 0.2 s.
 REACH: dict[str, tuple[str, int]] = {
     "recurrence": ("--max-depth", 3000),
@@ -292,7 +292,7 @@ def _cmd_check(args: argparse.Namespace) -> Output:
         series_order=args.order,
     )
     lines = [f"{r.status:7s} {r.name}" + (f": {r.detail}" if r.detail else "") for r in results]
-    failed = [r for r in results if not r.skipped and not r.passed]
+    failed = [r for r in results if not r.passed]
     return (EXIT_DISAGREEMENT if failed else EXIT_OK), lines, "csv"
 
 

@@ -70,28 +70,37 @@ def test_first_disagreement_names_the_first_failing_point():
 
 def test_run_all_passes_at_reduced_bounds():
     results = run_all(max_i=15, max_oracle_n=6, series_order=16)
-    assert all(r.passed for r in results)
-    assert not any(r.skipped for r in results)
+    assert [(r.status, r.detail) for r in results] == [("PASS", "")] * 8
 
 
 def test_status_strings():
+    # at n <= 0 the oracle suite runs, on the one empty path, and passes
     results = run_all(max_i=6, max_oracle_n=0, series_order=8)
-    by_name = {r.name: r for r in results}
-    oracle = next(r for name, r in by_name.items() if name.startswith("oracle"))
-    assert oracle.skipped and oracle.status == "SKIPPED"
-    assert all(r.status == "PASS" for r in results if not r.skipped)
+    assert results[1].name == "oracle-agreement (n <= 0)"
+    assert [r.status for r in results] == ["PASS"] * 8
 
 
 def test_check_result_fields_defaults_and_equality():
-    by_position = CheckResult("suite", False, "detail", True)
-    by_keyword = CheckResult(name="suite", passed=False, detail="detail", skipped=True)
+    assert CheckResult._fields == ("name", "passed", "detail")
+    by_position = CheckResult("suite", False, "detail")
+    by_keyword = CheckResult(name="suite", passed=False, detail="detail")
     assert by_position == by_keyword
-    assert by_position != CheckResult("suite", False, "detail")
+    assert by_position != CheckResult("suite", False)
     passed = CheckResult("suite", True)
-    assert (passed.detail, passed.skipped) == ("", False)
-    assert [r.status for r in (passed, CheckResult("suite", False), by_position)] == [
-        "PASS", "FAIL", "SKIPPED",
-    ]
+    assert passed.detail == ""
+    assert [r.status for r in (passed, by_position)] == ["PASS", "FAIL"]
+
+
+def test_every_suite_decides_through_first_disagreement(monkeypatch):
+    real, calls = checks.first_disagreement, []
+
+    def spy(points):
+        calls.append(points)
+        return real(points)
+
+    monkeypatch.setattr(checks, "first_disagreement", spy)
+    assert all(r.passed for r in run_all(max_i=6, max_oracle_n=0, series_order=8))
+    assert len(calls) == 8
 
 
 def test_method_agreement_catches_corruption(monkeypatch):
@@ -116,9 +125,16 @@ def test_oracle_catches_corruption(monkeypatch):
     assert "n=6" in result.detail
 
 
-def test_oracle_skipped_at_zero():
+def test_oracle_runs_at_zero():
+    assert check_oracle_agreement(0) == CheckResult("oracle-agreement (n <= 0)", True)
+
+
+def test_oracle_at_zero_catches_corruption(monkeypatch):
+    corrupt_table(monkeypatch, i=0, j=0)
     result = check_oracle_agreement(0)
-    assert result.skipped and result.passed
+    assert result == CheckResult(
+        "oracle-agreement (n <= 0)", False, "first disagreement at (n=0, j=0): oracle=1, table=2",
+    )
 
 
 def test_oracle_rejects_negative_max_n():
@@ -172,7 +188,8 @@ def test_column_routes_catch_corruption(monkeypatch):
 
 @pytest.mark.parametrize("corrupt, detail", [
     pytest.param(
-        lambda s: bumped(s, 5, -2 * s.coeffs[5]), "column 3 has a negative coefficient",
+        lambda s: bumped(s, 5, -2 * s.coeffs[5]),
+        "first disagreement at x^5 of column 3: closed_form=-19, |closed_form|=19",
         id="negated",
     ),
 ])

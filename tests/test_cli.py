@@ -491,12 +491,14 @@ def test_check_reduced_bounds(capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
-def test_check_skips_oracle_at_zero(capsys):
+def test_check_runs_oracle_at_zero(capsys):
     code, out, _ = run_cli(
         capsys, "check", "--max-i", "8", "--max-oracle-n", "0", "--order", "10"
     )
     assert code == 0
-    assert any(line.startswith("SKIPPED oracle") for line in out.splitlines())
+    lines = out.splitlines()
+    assert lines[1] == "PASS    oracle-agreement (n <= 0)"
+    assert [line.split()[0] for line in lines] == ["PASS"] * 8
 
 
 def test_entry_all_disagreement_exits_1(capsys, monkeypatch):
