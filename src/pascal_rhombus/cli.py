@@ -20,8 +20,9 @@ Values go to stdout as exact decimal strings, diagnostics go to stderr.
 Exit codes: 0 all good (also when the reader closes the pipe early or
 stdout is closed), 1 mathematical disagreement, failed check, internal
 invariant failure or output that could not be written, 2 usage error, a
-request past its reach included.  A diagnostic that cannot be written is
-dropped and the exit code stands.
+request past its reach included, 130 interrupted (SIGINT), reported as one
+line.  A diagnostic that cannot be written is dropped and the exit code
+stands.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ FORMATS = tuple(_LAYOUTS)
 EXIT_OK = 0
 EXIT_DISAGREEMENT = 1
 EXIT_USAGE = 2
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process the interrupt ends
 
 class UsageError(Exception):
     pass
@@ -138,13 +140,13 @@ ROUTES: dict[str, Callable[[int, int], int]] = {
 # 4-7 s on CPython 3.11, 2-CPU x86-64 (row 3000 about 5 s, entry 4500 0
 # --method triple_sum, entry 550 0 --method convolved, check --max-i 280;
 # series B or C --order 1500 about 1 s, series L<j> --order 700 2.4-3.1 s,
-# from L1 to L699), check --order 150 about 0.2 s and the oracle's walk to 14
-# about 0.2 s.
+# from L1 to L699), check --order 150 about 0.2 s and the oracle's walk to 16
+# about 2-3 s in about 1 MB (to 17 it takes 6-10 s, past 7 s).
 REACH: dict[str, tuple[str, int]] = {
     "recurrence": ("--max-depth", 3000),
     "triple_sum": ("--max-depth", 4500),
     "convolved": ("--max-depth", 550),
-    "oracle": ("--oracle-cap", 14),
+    "oracle": ("--oracle-cap", 16),
     "series L<j>": ("--max-order", 700),
     "series F, C, B": ("--max-order", 1500),
     "check": ("--max-order", 150),
@@ -165,7 +167,7 @@ def _longest_walk() -> int:
 # any cap; row, column and series take no --oracle-cap and never load paths)
 _CAPS = {
     "--max-depth": ("row {} is past", "the cost grows faster than the cube of the depth", None),
-    "--oracle-cap": ("length {} is past", "time and memory grow about 3.3x per unit of length",
+    "--oracle-cap": ("length {} is past", "time grows about 3.3x per unit of length",
                      _longest_walk),
     "--max-order": ("order {} is above", "the cost grows faster than the cube of the order", None),
 }
@@ -354,12 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    # values are printed in full: central entries pass CPython's default
-    # 4300-digit int->str limit near row 8300 (the call exists from 3.10.7)
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
+def _run(args: argparse.Namespace) -> int:
+    """Answer one parsed request, and write its output."""
     try:
         _caps_in_range(args)
         verdict, values, fmt = args.func(args)
@@ -379,6 +377,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         _say(sys.stderr, f"error: cannot write the output: {lost}")
         return EXIT_DISAGREEMENT
     return verdict
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    # values are printed in full: central entries pass CPython's default
+    # 4300-digit int->str limit near row 8300 (the call exists from 3.10.7)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(build_parser().parse_args(argv))
+    except KeyboardInterrupt:
+        _say(sys.stderr, "error: interrupted")
+        return EXIT_INTERRUPTED
 
 
 def run() -> None:

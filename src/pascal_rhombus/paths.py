@@ -6,32 +6,39 @@ H2 contributes 2), its *height* is the final y-coordinate, and a path is
 *non-negative* when no prefix dips below the x-axis.
 
 Everything here is deliberately brute force: one walker enumerates every
-path of length <= max_n, with no memo.  It goes breadth first and keeps
-each path as one byte, which holds the path's final height and whether it
-has stayed non-negative; the paths of length n are one ``bytes`` object
-with a byte per path.  They are the U, D and H extensions of the paths of
-length n - 1 and the H2 extensions of those of length n - 2, each extension
-one ``bytes.translate`` through a step table.  Each extension is tallied
-over its own paths: one translate through a table that takes the step and
-drops the non-negative flag from every path but a closed one gives the
-tally, on which the closed paths and the heights within 2 of 0 are
-counted, one ``bytes.count`` each.  The tally is then made again without
-the paths already counted, and the heights further out are counted in
-rings (within 5, within 9, the rest), each ring on what the rings before
-it leave.  The paths counted must be all of the extension's: one at a
-height it cannot reach stops the walk with an error.  So no tally is ever
-derived from the tally of a shorter length.  This is the ground truth the
-fast recurrence table and the generating functions are checked against,
-so it is written to be obviously correct rather than fast.  Its time and
-memory grow about 3.3x per unit of length (a walk to 14 takes about 0.2 s
-and holds about 11 MB at its peak, on CPython 3.11, 2-CPU x86-64); how far
-to walk is the caller's choice.  The one limit here is of the format:
-lengths past ``MAX_LENGTH`` have heights that do not fit in a byte, and
-are refused.
+path of length <= max_n, with no memo.  It keeps each path as one byte,
+which holds the path's final height and whether it has stayed
+non-negative, and goes level by level, a level being one ``bytes``
+object with a byte per path.  The paths of length n are the U, D and H
+extensions of the paths of length n - 1 and the H2 extensions of those of
+length n - 2, each extension one ``bytes.translate`` through a step table.
+A level longer than ``_SLICE`` paths is halved, and so is the level before
+it; each half of the one goes on with a half of the other, walked to max_n
+apart from the rest.  Every longer path extends a path of the one
+level or steps over it with H2 from a path of the other, so the two walks
+count every path once.  Each extension is tallied over its own paths: one
+translate through a table that takes the step and drops the non-negative
+flag from every path but a closed one gives the tally, on which the
+closed paths and the heights within 2 of 0 are counted, one
+``bytes.count`` each.  The tally is then made again without the paths
+already counted, and the heights further out are counted in rings (within
+5, within 9, the rest), each ring on what the rings before it leave.  The
+paths counted must be all of the extension's: one at a height it cannot
+reach stops the walk with an error.  So no tally is ever derived from the
+tally of a shorter length, nor from the paths of a slice taken together.
+This is the ground truth the fast recurrence table and the generating
+functions are checked against, so it is written to be obviously correct
+rather than fast.  Its time grows about 3.3x per unit of length, its
+memory by a few slices (a walk to 14 takes about 0.2 s and one to 16
+about 2-3 s, holding 0.9 and 1.0 MB at their peaks, on CPython 3.11, 2-CPU
+x86-64); how far to walk is the caller's choice.  The one limit here is
+of the format: lengths past ``MAX_LENGTH`` have heights that do not fit in
+a byte, and are refused.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterator
 
 __all__ = ["count_by_height", "count_motzkin2", "walk_paths"]
@@ -41,6 +48,9 @@ __all__ = ["count_by_height", "count_motzkin2", "walk_paths"]
 MAX_LENGTH = 63
 _ZERO = MAX_LENGTH + 1
 _NONNEGATIVE = 0x80
+# the most paths of one length a slice walks at once: a longer level is
+# halved, with the level before it, until its slices are at most this long
+_SLICE = 1 << 16
 
 
 def _step_table(rise: int) -> bytes:
@@ -82,6 +92,22 @@ def _extensions(frontier: bytes, previous: bytes, n: int) -> Iterator[tuple[byte
     yield previous, 0, range(2 - n, n - 1)
 
 
+@cache
+def _rings(heights: range) -> tuple[tuple[tuple[int, ...], bytes], ...]:
+    """The rings of ``heights``, a part's reach, nearest 0 first, up to the
+    one that holds the part's farthest height: each ring's heights, and
+    their bytes, which the rest of the part drops once they are counted.
+    Kept per reach, four per length, so a slice does not make them again."""
+    reach, inner, rings = max(-heights.start, heights.stop - 1), -1, []
+    for outer in _RINGS:
+        ring = tuple(h for h in heights if inner < abs(h) <= outer)
+        rings.append((ring, bytes(h + _ZERO for h in ring)))
+        if reach <= outer:
+            break
+        inner = outer
+    return tuple(rings)
+
+
 def _tally(extended: bytes, rise: int, heights: range, counts: dict[int, int]) -> tuple[int, int]:
     """Add the final heights of one part's paths, those ``extended``
     extends by a step of this rise, to ``counts``; return the number of its
@@ -96,21 +122,16 @@ def _tally(extended: bytes, rise: int, heights: range, counts: dict[int, int]) -
     rest = extended.translate(_TALLY[rise])
     closed = tallied = rest.count(_CLOSED)  # at height 0, flag kept
     counts[0] += closed
-    reach, inner = max(-heights.start, heights.stop - 1), -1
-    for outer in _RINGS:
-        ring = [h for h in heights if inner < abs(h) <= outer]
-        for height in ring:
-            here = rest.count(height + _ZERO)
-            counts[height] += here
-            tallied += here
-        if reach <= outer:
-            break
-        if inner < 0:
+    rings = _rings(heights)
+    for k, (ring, ring_bytes) in enumerate(rings):
+        if k == 1:
             del rest  # the full tally goes before the rest is made
             rest = extended.translate(_TALLY[rise], _FIRST[rise])
-        else:
-            rest = rest.translate(None, bytes(h + _ZERO for h in ring))
-        inner = outer
+        elif k:
+            rest = rest.translate(None, rings[k - 1][1])
+        for height, here in zip(ring, map(rest.count, ring_bytes)):
+            counts[height] += here
+            tallied += here
     return closed, tallied
 
 
@@ -123,17 +144,28 @@ def walk_paths(max_n: int) -> tuple[list[dict[int, int]], list[int]]:
         raise ValueError(
             f"length {max_n} is past {MAX_LENGTH}, the longest length whose heights fit in a byte"
         )
-    by_height, closed = [], []
-    previous, frontier = b"", bytes([_CLOSED])  # lengths -1 and 0
-    for n in range(max_n + 1):
-        counts, closed_count, kept = dict.fromkeys(range(-n, n + 1), 0), 0, []
+    by_height = [dict.fromkeys(range(-n, n + 1), 0) for n in range(max_n + 1)]
+    closed = [0] * (max_n + 1)
+    # each entry: a slice of the paths of length n - 1, the paths of length
+    # n - 2 that go with it, and n; the paths of length 0 enter as they are
+    stack = [(bytes([_CLOSED]), b"", 0)]
+    while stack:
+        frontier, previous, n = stack.pop()
+        if len(frontier) > _SLICE:
+            # every longer path extends one of the two or steps over n - 1
+            # with H2 from the other, so each half of both is walked apart
+            half, half_previous = len(frontier) // 2, len(previous) // 2
+            stack.append((frontier[half:], previous[half_previous:], n))
+            stack.append((frontier[:half], previous[:half_previous], n))
+            continue
         # each part is tallied over its own paths, one part at a time; only
         # a level still to be extended is made and joined, so the longest
         # never is
         parts = _extensions(frontier, previous, n) if n else [(frontier, 0, range(1))]
+        kept = []
         for extended, rise, heights in parts:
-            closed_here, tallied = _tally(extended, rise, heights, counts)
-            closed_count += closed_here
+            closed_here, tallied = _tally(extended, rise, heights, by_height[n])
+            closed[n] += closed_here
             if tallied != len(extended):
                 raise ValueError(
                     f"length {n}: {len(extended) - tallied} of the {len(extended)} paths of one "
@@ -141,11 +173,12 @@ def walk_paths(max_n: int) -> tuple[list[dict[int, int]], list[int]]:
                 )
             if 0 < n < max_n:
                 kept.append(extended.translate(_STEP[rise]) if rise else extended)
-        by_height.append({h: c for h, c in counts.items() if c})
-        closed.append(closed_count)
         if kept:
-            previous, frontier = frontier, b"".join(kept)
-    return by_height, closed
+            stack.append((b"".join(kept), frontier, n + 1))
+        elif n < max_n:  # the path of length 0, extended as it is
+            stack.append((frontier, previous, 1))
+        del kept  # the parts go before the level they make is halved
+    return [{h: c for h, c in counts.items() if c} for counts in by_height], closed
 
 
 def count_by_height(n: int) -> dict[int, int]:

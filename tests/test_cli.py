@@ -71,7 +71,7 @@ def test_entry_all_skips_inapplicable_methods(capsys):
     code, out, err = run_cli(capsys, "entry", "35", "0", "--method", "all")
     assert code == 0
     assert len(out.split()) == 4  # the series reads x^35 at order 36; the oracle is skipped
-    assert err.startswith("skipping oracle method (length 35 is past --oracle-cap 14;")
+    assert err.startswith("skipping oracle method (length 35 is past --oracle-cap 16;")
     assert len(err.splitlines()) == 1
 
 
@@ -240,7 +240,7 @@ def test_entry_series_order_too_small(capsys):
 
 
 def test_entry_oracle_above_cap(capsys):
-    code, _, err = run_cli(capsys, "entry", "15", "0", "--method", "oracle")
+    code, _, err = run_cli(capsys, "entry", "17", "0", "--method", "oracle")
     assert code == 2
     assert "cap" in err
 
@@ -438,9 +438,21 @@ def test_internal_failure_exits_1(capsys, monkeypatch, exc, line):
     assert err == f"error: internal: {line}\n"
 
 
+def test_an_interrupt_is_one_line_and_exit_130(capsys, monkeypatch):
+    # an interrupt (SIGINT) in any route ends the request with one line,
+    # not a traceback, and the code a shell gives a process it ends
+    def interrupted(i, j):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(closedforms, "entry_convolved", interrupted)
+    code, out, err = run_cli(capsys, "entry", "4", "2", "--method", "convolved")
+    assert (code, out) == (130, "")
+    assert err == "error: interrupted\n"
+
+
 @pytest.mark.parametrize("argv, length, oracle_cap", [
-    (["entry", "15", "0", "--method", "oracle"], 15, cap("oracle")),
-    (["check", "--max-oracle-n", "15"], 15, cap("oracle")),
+    (["entry", "17", "0", "--method", "oracle"], 17, cap("oracle")),
+    (["check", "--max-oracle-n", "17"], 17, cap("oracle")),
     (["check", "--oracle-cap", "5"], 12, 5),
 ], ids=["entry", "check", "check-lowered"])
 def test_oracle_length_above_the_cap_is_refused_at_once(capsys, monkeypatch, argv, length,
@@ -450,7 +462,7 @@ def test_oracle_length_above_the_cap_is_refused_at_once(capsys, monkeypatch, arg
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == (f"error: length {length} is past --oracle-cap {oracle_cap}; raise the cap "
-                   "knowingly, time and memory grow about 3.3x per unit of length\n")
+                   "knowingly, time grows about 3.3x per unit of length\n")
 
 
 def test_oracle_cap_past_the_byte_range_is_a_usage_error(capsys, monkeypatch):

@@ -208,8 +208,7 @@ def path_totals(max_n):
     return totals[:max_n + 1]
 
 
-@pytest.mark.parametrize("max_n", [0, 1, 2, 8])
-def test_walk_matches_the_listed_paths(max_n):
+def assert_walk_matches_the_listed_paths(max_n):
     by_height, closed = walk_paths(max_n)
     assert len(by_height) == len(closed) == max_n + 1
     for n in range(max_n + 1):
@@ -218,9 +217,15 @@ def test_walk_matches_the_listed_paths(max_n):
         assert closed[n] == sum(1 for p in paths if p.height == 0 and p.is_nonnegative())
 
 
+@pytest.mark.parametrize("max_n", [0, 1, 2, 8])
+def test_walk_matches_the_listed_paths(max_n):
+    assert_walk_matches_the_listed_paths(max_n)
+
+
 def test_walk_tallies_each_path_once():
-    # to 14, the CLI's default oracle cap: a walk of about 0.2 s
-    max_n = 14
+    # to 15, where every level past 10 is walked in slices: a walk of about
+    # 0.6 s
+    max_n = 15
     by_height, closed = walk_paths(max_n)
     assert [sum(counts.values()) for counts in by_height] == path_totals(max_n)
     # each part of a length is tallied over the heights it can reach only;
@@ -228,6 +233,24 @@ def test_walk_tallies_each_path_once():
     for n, row in enumerate(iter_rows(max_n)):
         assert by_height[n] == dict(zip(range(-n, n + 1), row))
     assert closed == motzkin2_gf(max_n + 1).integer_coefficients()
+
+
+def test_walk_in_slices_of_a_few_paths_matches_the_listed_paths(monkeypatch):
+    # a level longer than a slice is halved with the level before it, and
+    # each half walked on apart; at slices of 3 paths every level from
+    # length 2 on is split, and the halves' tallies still add up to the
+    # listing
+    monkeypatch.setattr(paths, "_SLICE", 3)
+    longest = []
+
+    def tally(extended, rise, heights, counts):
+        longest.append(len(extended))
+        return original(extended, rise, heights, counts)
+
+    original = paths._tally
+    monkeypatch.setattr(paths, "_tally", tally)
+    assert_walk_matches_the_listed_paths(8)
+    assert max(longest) == 3
 
 
 def test_walk_rejects_bad_lengths():
@@ -260,6 +283,12 @@ def test_walk_refuses_paths_left_out_of_the_tally(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: internal: length 3: 1 of the 10 paths")
+    # each slice is checked on its own parts: the 10 paths of length 2 are
+    # walked on as slices of 2 and 3, and DU, the one path the table sends
+    # to 40, is in the first
+    monkeypatch.setattr(paths, "_SLICE", 3)
+    with pytest.raises(ValueError, match=r"^length 3: 1 of the 2 paths of one part left over"):
+        walk_paths(4)
 
 
 def test_walk_holds_two_levels_and_one_tally():
@@ -276,3 +305,17 @@ def test_walk_holds_two_levels_and_one_tally():
     finally:
         tracemalloc.stop()
     assert peak <= 1.02 * (2 * totals[max_n - 1] + totals[max_n - 2])
+
+
+def test_walk_to_16_holds_less_than_a_walk_to_14_held_whole():
+    # a walk to 14 that held its levels whole peaked at 11.2 MB; slices
+    # bound the walk by a few of them at any length, and a walk to 16 is
+    # 11 times as many paths
+    tracemalloc.start()
+    try:
+        by_height, _ = walk_paths(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11.2e6
+    assert sum(by_height[16].values()) == path_totals(16)[16]
