@@ -21,8 +21,9 @@ Exit codes: 0 all good (also when the reader closes the pipe early or
 stdout is closed), 1 mathematical disagreement, failed check, internal
 invariant failure or output that could not be written, 2 usage error, a
 request past its reach included, 130 interrupted (SIGINT), reported as one
-line.  A diagnostic that cannot be written is dropped and the exit code
-stands.
+line; run as a command, the process then ends by SIGINT itself, which a
+shell reports as 130.  A diagnostic that cannot be written is dropped and
+the exit code stands.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ ROUTES: dict[str, Callable[[int, int], int]] = {
 # --method triple_sum, entry 550 0 --method convolved, check --max-i 280;
 # series B or C --order 1500 about 1 s, series L<j> --order 700 2.4-3.1 s,
 # from L1 to L699), check --order 150 about 0.2 s and the oracle's walk to 16
-# about 2-3 s in about 1 MB (to 17 it takes 6-10 s, past 7 s).
+# about 2-3 s in about 1.5 MB (to 17 it takes 6-10 s, past 7 s).
 REACH: dict[str, tuple[str, int]] = {
     "recurrence": ("--max-depth", 3000),
     "triple_sum": ("--max-depth", 4500),
@@ -392,7 +393,16 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    code = main()
+    if code == EXIT_INTERRUPTED and os.name == "posix":
+        # end by the signal itself, as an unhandled interrupt would, so that
+        # a calling shell or script sees the process killed by SIGINT
+        import signal
+
+        sys.stderr.flush()
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGINT)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -12,11 +12,12 @@ non-negative, and goes level by level, a level being one ``bytes``
 object with a byte per path.  The paths of length n are the U, D and H
 extensions of the paths of length n - 1 and the H2 extensions of those of
 length n - 2, each extension one ``bytes.translate`` through a step table.
-A level longer than ``_SLICE`` paths is halved, and so is the level before
-it; each half of the one goes on with a half of the other, walked to max_n
-apart from the rest.  Every longer path extends a path of the one
-level or steps over it with H2 from a path of the other, so the two walks
-count every path once.  Each extension is tallied over its own paths: one
+A level that would be longer than ``_SLICE`` paths is not joined: each of
+its four parts is walked on to max_n apart from the rest, the U part with
+the paths of length n - 1 and the others with none.  Every longer path
+extends a path of one part or steps over length n with H2 from a path of
+length n - 1, so the four walks count every path once, and no slice of a
+length is ever longer than the slice it came from.  Each extension is tallied over its own paths: one
 translate through a table that takes the step and drops the non-negative
 flag from every path but a closed one gives the tally, on which the
 closed paths and the heights within 2 of 0 are counted, one
@@ -30,7 +31,7 @@ This is the ground truth the fast recurrence table and the generating
 functions are checked against, so it is written to be obviously correct
 rather than fast.  Its time grows about 3.3x per unit of length, its
 memory by a few slices (a walk to 14 takes about 0.2 s and one to 16
-about 2-3 s, holding 0.9 and 1.0 MB at their peaks, on CPython 3.11, 2-CPU
+about 2-3 s, holding 1.0 and 1.5 MB at their peaks, on CPython 3.11, 2-CPU
 x86-64); how far to walk is the caller's choice.  The one limit here is
 of the format: lengths past ``MAX_LENGTH`` have heights that do not fit in
 a byte, and are refused.
@@ -48,9 +49,9 @@ __all__ = ["count_by_height", "count_motzkin2", "walk_paths"]
 MAX_LENGTH = 63
 _ZERO = MAX_LENGTH + 1
 _NONNEGATIVE = 0x80
-# the most paths of one length a slice walks at once: a longer level is
-# halved, with the level before it, until its slices are at most this long
-_SLICE = 1 << 16
+# the most paths of one length a slice walks at once: a longer level goes
+# on in its four parts, none longer than the slice that made it
+_SLICE = 1 << 17
 
 
 def _step_table(rise: int) -> bytes:
@@ -146,24 +147,17 @@ def walk_paths(max_n: int) -> tuple[list[dict[int, int]], list[int]]:
         )
     by_height = [dict.fromkeys(range(-n, n + 1), 0) for n in range(max_n + 1)]
     closed = [0] * (max_n + 1)
+    by_height[0][0] = closed[0] = 1  # the one path of length 0
     # each entry: a slice of the paths of length n - 1, the paths of length
-    # n - 2 that go with it, and n; the paths of length 0 enter as they are
-    stack = [(bytes([_CLOSED]), b"", 0)]
+    # n - 2 that go with it, and n
+    stack = [(bytes([_CLOSED]), b"", 1)] if max_n else []
     while stack:
         frontier, previous, n = stack.pop()
-        if len(frontier) > _SLICE:
-            # every longer path extends one of the two or steps over n - 1
-            # with H2 from the other, so each half of both is walked apart
-            half, half_previous = len(frontier) // 2, len(previous) // 2
-            stack.append((frontier[half:], previous[half_previous:], n))
-            stack.append((frontier[:half], previous[:half_previous], n))
-            continue
         # each part is tallied over its own paths, one part at a time; only
         # a level still to be extended is made and joined, so the longest
         # never is
-        parts = _extensions(frontier, previous, n) if n else [(frontier, 0, range(1))]
         kept = []
-        for extended, rise, heights in parts:
+        for extended, rise, heights in _extensions(frontier, previous, n):
             closed_here, tallied = _tally(extended, rise, heights, by_height[n])
             closed[n] += closed_here
             if tallied != len(extended):
@@ -171,13 +165,17 @@ def walk_paths(max_n: int) -> tuple[list[dict[int, int]], list[int]]:
                     f"length {n}: {len(extended) - tallied} of the {len(extended)} paths of one "
                     "part left over, at heights it cannot reach"
                 )
-            if 0 < n < max_n:
+            if n < max_n:
                 kept.append(extended.translate(_STEP[rise]) if rise else extended)
-        if kept:
+        if sum(map(len, kept)) > _SLICE:
+            # every longer path extends a path of one part or steps over
+            # length n with H2 from frontier, so each part is walked on
+            # apart, the U part with frontier and the rest with none
+            stack.append((kept[0], frontier, n + 1))
+            stack.extend((part, b"", n + 1) for part in kept[1:])
+        elif kept:
             stack.append((b"".join(kept), frontier, n + 1))
-        elif n < max_n:  # the path of length 0, extended as it is
-            stack.append((frontier, previous, 1))
-        del kept  # the parts go before the level they make is halved
+        del kept  # the parts go before the next slice is walked
     return [{h: c for h, c in counts.items() if c} for counts in by_height], closed
 
 

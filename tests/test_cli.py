@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -448,6 +449,22 @@ def test_an_interrupt_is_one_line_and_exit_130(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "entry", "4", "2", "--method", "convolved")
     assert (code, out) == (130, "")
     assert err == "error: interrupted\n"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
+def test_an_interrupted_command_ends_by_sigint():
+    # run as a command, the process ends by the signal after its one line,
+    # so that a calling shell or loop sees an interrupt and stops; the
+    # route sends SIGINT to its own process
+    proc = run_fresh(
+        "import os, signal, sys\n"
+        "from pascal_rhombus import cli, closedforms\n"
+        "closedforms.entry_convolved = lambda i, j: os.kill(os.getpid(), signal.SIGINT)\n"
+        "sys.argv[1:] = ['entry', '4', '2', '--method', 'convolved']\n"
+        "cli.run()\n"
+    )
+    assert proc.returncode == -signal.SIGINT
+    assert (proc.stdout, proc.stderr) == ("", "error: interrupted\n")
 
 
 @pytest.mark.parametrize("argv, length, oracle_cap", [

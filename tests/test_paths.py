@@ -223,8 +223,8 @@ def test_walk_matches_the_listed_paths(max_n):
 
 
 def test_walk_tallies_each_path_once():
-    # to 15, where every level past 10 is walked in slices: a walk of about
-    # 0.6 s
+    # to 15, where every length from 11 on is walked in slices: a walk of
+    # about 0.6 s
     max_n = 15
     by_height, closed = walk_paths(max_n)
     assert [sum(counts.values()) for counts in by_height] == path_totals(max_n)
@@ -236,10 +236,9 @@ def test_walk_tallies_each_path_once():
 
 
 def test_walk_in_slices_of_a_few_paths_matches_the_listed_paths(monkeypatch):
-    # a level longer than a slice is halved with the level before it, and
-    # each half walked on apart; at slices of 3 paths every level from
-    # length 2 on is split, and the halves' tallies still add up to the
-    # listing
+    # a level longer than a slice goes on in its four parts, each walked
+    # on apart; at slices of 3 paths every length from 3 on is walked in
+    # several slices, and their tallies still add up to the listing
     monkeypatch.setattr(paths, "_SLICE", 3)
     longest = []
 
@@ -283,11 +282,11 @@ def test_walk_refuses_paths_left_out_of_the_tally(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: internal: length 3: 1 of the 10 paths")
-    # each slice is checked on its own parts: the 10 paths of length 2 are
-    # walked on as slices of 2 and 3, and DU, the one path the table sends
-    # to 40, is in the first
+    # each slice is checked on its own parts: at slices of 3 paths, the
+    # first part walked with a path the table sends to 40 extends the 3
+    # paths UHU, DHU and HHU by U, and DHU is that path
     monkeypatch.setattr(paths, "_SLICE", 3)
-    with pytest.raises(ValueError, match=r"^length 3: 1 of the 2 paths of one part left over"):
+    with pytest.raises(ValueError, match=r"^length 4: 1 of the 3 paths of one part left over"):
         walk_paths(4)
 
 
