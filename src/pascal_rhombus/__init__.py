@@ -33,6 +33,7 @@ _HOMES = {
     "RhombusTable": "rhombus",
     "build_table": "rhombus",
     "iter_rows": "rhombus",
+    "iter_column": "rhombus",
     "entry_triple_sum": "closedforms",
     "entry_convolved": "closedforms",
     "convolved_fib_series": "closedforms",

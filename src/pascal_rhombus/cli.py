@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: ``entry`` (one value by any method, or all of them), ``row``
-and ``column`` (sequences streamed from the recurrence), ``series`` (raw
-coefficients of the named generating functions F, C, B, L<j>) and ``check``
-(the one-shot cross-method verification report).
+and ``column`` (sequences from the recurrence, a column or an entry by it on
+the dependency cone of its last entry alone), ``series`` (raw coefficients of
+the generating functions F, C, B, L<j>) and ``check`` (the cross-method report).
 
 A request imports, and so compiles, only the modules its command runs:
 ``series`` loads ``series``; ``row`` and ``column`` load ``rhombus``;
@@ -97,7 +97,12 @@ def _last_row(i: int) -> list[int]:
 
 
 def _recurrence(i: int, j: int) -> int:
-    return _last_row(i)[j + i] if abs(j) <= i else 0
+    from .rhombus import iter_column
+
+    value = 0  # off the triangle, where the column yields nothing
+    for value in iter_column(j, i):
+        pass
+    return value
 
 
 def _triple_sum(i: int, j: int) -> int:
@@ -141,8 +146,9 @@ ROUTES: dict[str, Callable[[int, int], int]] = {
 # 4-7 s on CPython 3.11, 2-CPU x86-64 (row 3000 about 5 s, entry 4500 0
 # --method triple_sum, entry 550 0 --method convolved, check --max-i 280;
 # series B or C --order 1500 about 1 s, series L<j> --order 700 2.4-3.1 s,
-# from L1 to L699), check --order 150 about 0.2 s and the oracle's walk to 16
-# about 2-3 s in about 1.5 MB (to 17 it takes 6-10 s, past 7 s).
+# from L1 to L699), check --order 150 about 0.2 s, column 0 --terms 3001 and
+# entry 3000 0 (on the cone, half the additions of row 3000) 1.5-2.3 s, and
+# the oracle's walk to 16 about 2-3 s in about 1.5 MB (to 17 it takes 6-10 s).
 REACH: dict[str, tuple[str, int]] = {
     "recurrence": ("--max-depth", 3000),
     "triple_sum": ("--max-depth", 4500),
@@ -252,16 +258,14 @@ def _cmd_row(args: argparse.Namespace) -> Output:
 
 
 def _cmd_column(args: argparse.Namespace) -> Output:
-    from .rhombus import iter_rows
+    from .rhombus import iter_column
 
     _in_range("--terms", args.terms, 1)
-    j = args.j
-    depth = abs(j) + args.terms - 1
+    depth = abs(args.j) + args.terms - 1
     _reach("recurrence", depth, args)
-    rows = enumerate(iter_rows(depth))
     # each value kept as its text: a kept int would keep the allocator's
     # pools that its row was built in from being freed
-    return EXIT_OK, [str(row[j + i]) for i, row in rows if i >= abs(j)], args.format
+    return EXIT_OK, list(map(str, iter_column(args.j, depth))), args.format
 
 
 def _cmd_series(args: argparse.Namespace) -> Output:

@@ -367,8 +367,9 @@ def test_max_order_moves_the_cap(capsys):
         "entry-triple_sum-1e9", "entry-convolved", "entry-convolved-5000", "check",
         "check-100000"])
 def test_depth_above_the_cap_is_refused_at_once(capsys, monkeypatch, argv, depth, row):
-    for module, name in ((rhombus, "iter_rows"), (closedforms, "entry_triple_sum"),
-                         (closedforms, "entry_convolved"), (checks, "run_all")):
+    for module, name in ((rhombus, "iter_rows"), (rhombus, "iter_column"),
+                         (closedforms, "entry_triple_sum"), (closedforms, "entry_convolved"),
+                         (checks, "run_all")):
         monkeypatch.setattr(module, name, never)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
@@ -377,9 +378,9 @@ def test_depth_above_the_cap_is_refused_at_once(capsys, monkeypatch, argv, depth
 
 
 def test_entry_all_past_every_reach_is_a_usage_error(capsys, monkeypatch):
-    for module, name in ((rhombus, "iter_rows"), (closedforms, "entry_triple_sum"),
-                         (closedforms, "entry_convolved"), (series, "column_gf"),
-                         (paths, "count_by_height")):
+    for module, name in ((rhombus, "iter_rows"), (rhombus, "iter_column"),
+                         (closedforms, "entry_triple_sum"), (closedforms, "entry_convolved"),
+                         (series, "column_gf"), (paths, "count_by_height")):
         monkeypatch.setattr(module, name, never)
     code, out, err = run_cli(capsys, "entry", "5000", "2", "--method", "all")
     assert code == 2

@@ -81,7 +81,7 @@ def test_no_route_reaches_another(monkeypatch):
             if isinstance(store, OrderedDict):
                 monkeypatch.setattr(closedforms, name, type(store)(store.kept))
         reached[method] = footprint(method, labels)
-    own = {"recurrence": "rhombus.iter_rows", "triple_sum": "closedforms.entry_triple_sum",
+    own = {"recurrence": "rhombus._cone", "triple_sum": "closedforms.entry_triple_sum",
            "convolved": "closedforms.entry_convolved", "series": "series.column_gf",
            "oracle": "paths.walk_paths"}
     for method, function in own.items():

@@ -1,8 +1,10 @@
 """The recurrence: streamed rows, the table, symmetry, self-consistency."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pascal_rhombus import RhombusTable, build_table, column_gf, iter_rows
+from pascal_rhombus import RhombusTable, build_table, column_gf, iter_column, iter_rows, rhombus
 
 GOLDEN_ROWS = [
     [1],
@@ -133,3 +135,40 @@ def test_columns_match_generating_functions():
         coeffs = column_gf(j, 30).integer_coefficients()
         assert column(table, j) == coeffs[j:]
         assert column(table, -j) == coeffs[j:]
+
+
+# on a failure hypothesis may import libcst, whose import warns (see test_properties)
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(0, 150), st.integers(-160, 160))
+@example(0, 0)
+@example(150, 150)
+@example(150, -150)
+@example(150, -149)
+@example(7, -8)
+def test_iter_column_is_the_column_of_the_whole_rows(depth, j):
+    expected = [row[j + i] for i, row in enumerate(iter_rows(depth)) if i >= abs(j)]
+    assert list(iter_column(j, depth)) == expected
+
+
+def additions(values):
+    """How many additions draining ``values`` makes, counted through rhombus.add."""
+    count = 0
+
+    def counted(x, y):
+        nonlocal count
+        count += 1
+        return x + y
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rhombus, "add", counted)
+        for _ in values:
+            pass
+    return count
+
+
+def test_a_column_adds_only_its_cone():
+    whole = additions(iter_rows(200))
+    assert whole >= 3 * (201 ** 2 - 1)  # three additions an entry of rows 1..200
+    assert additions(iter_column(0, 200)) <= 0.55 * whole
+    assert additions(iter_column(-199, 200)) <= 10 * 200
