@@ -13,11 +13,22 @@ column route's L_0 .. L_6 once for the three suites that read columns; a
 suite called without them builds its own.  The suites run to the bounds
 they are given and take no caps: how far a request may run is the CLI's
 policy.
+
+Where ``os.fork`` exists, the process may run on two CPUs or more and no
+other thread runs, :func:`run_all` runs the four suites that read no column
+series (oracle-agreement, motzkin2-route-agreement, convolved-fibonacci and
+catalan-binomial) in one forked child while the parent builds the columns
+and runs the other four; otherwise, or if the fork fails, all eight run in
+this process.  Either way the report is the same.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+import marshal
+import os
+import threading
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .closedforms import (
     binomial,
@@ -230,20 +241,144 @@ def check_symmetry(max_i: int = 50) -> CheckResult:
     ))
 
 
+Outcome = CheckResult | Exception  # a suite's result, or the exception it raised
+
+
+def _outcomes(suites: list[Callable[[], CheckResult]]) -> list[Outcome]:
+    """Each suite's result in turn, up to the first to raise: its exception
+    ends the list."""
+    outcomes: list[Outcome] = []
+    for suite in suites:
+        try:
+            outcomes.append(suite())
+        except Exception as exc:
+            outcomes.append(exc)
+            break
+    return outcomes
+
+
+def _sent(outcome: Outcome) -> tuple | bytes:
+    """An outcome as marshal sends it: a result as its fields, an exception
+    as its pickle (pickle, slow to import, loads only where a suite raised)."""
+    if isinstance(outcome, CheckResult):
+        return tuple(outcome)
+    import pickle
+
+    return pickle.dumps(outcome)
+
+
+def _received(sent: tuple | bytes) -> Outcome:
+    if isinstance(sent, tuple):
+        return CheckResult(*sent)
+    import pickle
+
+    return pickle.loads(sent)
+
+
+def _second_cpu() -> bool:
+    """Whether a forked child would run beside this process: ``os.fork``
+    exists, the process may run on two CPUs, and no other thread runs (a
+    fork copies a thread's locks, not the thread)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+@contextmanager
+def _apart(suites: list[Callable[[], CheckResult]]) -> Iterator[Callable[[], list[Outcome]]]:
+    """Run ``suites`` beside the body of the ``with``: in a forked child where
+    there is a second CPU and the fork succeeds, else in this process when
+    asked.  Gives the function that returns their outcomes.
+
+    The child sends its outcomes down a pipe and always ends in ``os._exit``;
+    one that ends without sending them is a ``ChildProcessError``.  Whatever
+    ends the body, the child is killed if it still runs, and reaped.
+    """
+    pid = None
+    if _second_cpu():
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+    if pid is None:
+        yield lambda: _outcomes(suites)
+        return
+    if pid == 0:
+        try:
+            with open(write_end, "wb") as pipe:
+                pipe.write(marshal.dumps([_sent(outcome) for outcome in _outcomes(suites)]))
+            os._exit(0)
+        finally:  # whatever else ends the child, an interrupt included
+            os._exit(1)
+    reaped = False
+
+    def outcomes() -> list[Outcome]:
+        nonlocal reaped
+        sent = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped = True
+        if code == 0:
+            return [_received(outcome) for outcome in marshal.loads(sent)]
+        from signal import Signals
+
+        ended = f"killed by {Signals(-code).name}" if code < 0 else f"exit code {code}"
+        raise ChildProcessError(f"the suites' child process ended without a result ({ended})")
+
+    try:
+        os.close(write_end)
+        with open(read_end, "rb") as pipe:
+            yield outcomes
+    finally:
+        if not reaped:
+            from signal import SIGKILL
+
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run_all(
     max_i: int = 40,
     max_oracle_n: int = 12,
     series_order: int = 30,
 ) -> list[CheckResult]:
-    """Run every suite; the CLI's one-shot consistency check."""
-    columns = {method: column_gfs(_COLUMN_J_CAP, series_order, method) for method in COLUMN_METHODS}
-    return [
-        check_method_agreement(max_i, series_order, columns["closed_form"]),
-        check_oracle_agreement(max_oracle_n),
-        check_motzkin2_routes(series_order),
-        check_column_functional_equation(series_order, columns),
-        check_column_routes(series_order, columns),
-        check_convolved_fibonacci(),
-        check_catalan_binomial(series_order),
-        check_symmetry(max_i),
+    """Run every suite; the CLI's one-shot consistency check.
+
+    The four suites that read no column series (oracle-agreement,
+    motzkin2-route-agreement, convolved-fibonacci, catalan-binomial) run in
+    one forked child where there is a second CPU: ``os.fork`` exists, the
+    process may run on two CPUs and no other thread runs.  Meanwhile this
+    process builds the column series and runs method-agreement, the two
+    column suites and symmetry.  Without a second CPU, or if the fork fails,
+    the four run here after the others.  The results come in the order of
+    the list below, and of the suites that raise, the one first in that
+    order raises here; a child that ends without its results raises
+    ``ChildProcessError``.
+    """
+    columns: Columns = {}
+    # the report's suites in order, each with whether it runs in this process
+    suites: list[tuple[bool, Callable[[], CheckResult]]] = [
+        (True, lambda: check_method_agreement(max_i, series_order, columns["closed_form"])),
+        (False, lambda: check_oracle_agreement(max_oracle_n)),
+        (False, lambda: check_motzkin2_routes(series_order)),
+        (True, lambda: check_column_functional_equation(series_order, columns)),
+        (True, lambda: check_column_routes(series_order, columns)),
+        (False, check_convolved_fibonacci),
+        (False, lambda: check_catalan_binomial(series_order)),
+        (True, lambda: check_symmetry(max_i)),
     ]
+    with _apart([suite for here, suite in suites if not here]) as apart:
+        for method in COLUMN_METHODS:
+            columns[method] = column_gfs(_COLUMN_J_CAP, series_order, method)
+        outcomes = {True: iter(_outcomes([suite for here, suite in suites if here])),
+                    False: iter(apart())}
+    results = []
+    for here, _ in suites:
+        outcome = next(outcomes[here])
+        if isinstance(outcome, Exception):
+            raise outcome
+        results.append(outcome)
+    return results

@@ -369,7 +369,7 @@ def _run(args: argparse.Namespace) -> int:
     except UsageError as exc:
         _say(sys.stderr, f"error: {exc}")
         return EXIT_USAGE
-    except (ValueError, IndexError, RecursionError) as exc:
+    except (ValueError, IndexError, RecursionError, ChildProcessError) as exc:
         _say(sys.stderr, f"error: internal: {exc}")
         return EXIT_DISAGREEMENT
     except MemoryError:

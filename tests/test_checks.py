@@ -1,5 +1,8 @@
 """The consistency-check suites, including proof that they catch faults."""
 
+import errno
+import os
+
 import pytest
 
 from pascal_rhombus import RhombusTable, TruncatedSeries, checks, iter_rows, run_all
@@ -92,15 +95,151 @@ def test_check_result_fields_defaults_and_equality():
 
 
 def test_every_suite_decides_through_first_disagreement(monkeypatch):
-    real, calls = checks.first_disagreement, []
+    # a suite may decide in run_all's child process, so each call writes one
+    # byte to a pipe that both processes hold
+    real = checks.first_disagreement
+    read_end, write_end = os.pipe()
 
     def spy(points):
-        calls.append(points)
+        os.write(write_end, b".")
         return real(points)
 
     monkeypatch.setattr(checks, "first_disagreement", spy)
+    try:
+        assert all(r.passed for r in run_all(max_i=6, max_oracle_n=0, series_order=8))
+    finally:
+        os.close(write_end)
+    with open(read_end, "rb") as calls:
+        assert len(calls.read()) == 8
+
+
+def two_cpus(monkeypatch):
+    """The CPU probe gives two CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+
+def no_affinity_one_cpu(monkeypatch):
+    # where the process's CPUs cannot be asked, the host's count decides
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+
+def fork_fails(monkeypatch):
+    two_cpus(monkeypatch)
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+
+
+ONE_PROCESS = [
+    pytest.param(one_cpu, id="one-cpu"),
+    pytest.param(no_affinity_one_cpu, id="one-cpu-count"),
+    pytest.param(fork_fails, id="fork-fails"),
+]
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+def suite_pids(monkeypatch):
+    """Make every suite run_all calls write its process's pid to a pipe; the
+    function returned gives them, by suite name, once run_all is done."""
+    read_end, write_end = os.pipe()
+    for name in [name for name in checks.__all__ if name.startswith("check_")]:
+        def recording(*args, real=getattr(checks, name), name=name, **kwargs):
+            os.write(write_end, f"{name} {os.getpid()}\n".encode())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(checks, name, recording)
+
+    def pids():
+        os.close(write_end)
+        with open(read_end, "rb") as lines:
+            return dict(line.split() for line in lines.read().decode().splitlines())
+
+    return pids
+
+
+APART = {"check_oracle_agreement", "check_motzkin2_routes", "check_convolved_fibonacci",
+         "check_catalan_binomial"}
+
+
+@needs_fork
+def test_run_all_runs_four_suites_in_one_child_given_two_cpus(monkeypatch):
+    two_cpus(monkeypatch)
+    pids = suite_pids(monkeypatch)
     assert all(r.passed for r in run_all(max_i=6, max_oracle_n=0, series_order=8))
-    assert len(calls) == 8
+    by_suite = pids()
+    assert len(by_suite) == 8
+    here = str(os.getpid())
+    assert {name for name, pid in by_suite.items() if pid != here} == APART
+    assert len({by_suite[name] for name in APART}) == 1
+
+
+@pytest.mark.parametrize("placement", ONE_PROCESS)
+def test_run_all_runs_every_suite_here_without_a_second_cpu(monkeypatch, placement):
+    placement(monkeypatch)
+    pids = suite_pids(monkeypatch)
+    assert all(r.passed for r in run_all(max_i=6, max_oracle_n=0, series_order=8))
+    assert set(pids().values()) == {str(os.getpid())}
+
+
+@pytest.mark.parametrize("placement", [pytest.param(two_cpus, id="two-cpus", marks=needs_fork),
+                                       *ONE_PROCESS])
+@pytest.mark.parametrize("first, later", [
+    ("check_motzkin2_routes", "check_column_routes"),
+    ("check_method_agreement", "check_catalan_binomial"),
+], ids=["apart-first", "here-first"])
+def test_run_all_raises_for_the_first_raising_suite_in_order(monkeypatch, placement, first, later):
+    # the suites run here and apart raise the exception the report's order
+    # meets first, wherever each ran
+    placement(monkeypatch)
+    for name in (first, later):
+        def broken(*args, name=name):
+            raise ValueError(name)
+
+        monkeypatch.setattr(checks, name, broken)
+    with pytest.raises(ValueError, match=f"^{first}$"):
+        run_all(max_i=6, max_oracle_n=0, series_order=8)
+
+
+def one_more_in_each_group(monkeypatch):
+    """Corrupt a route of a suite that run_all runs here and one of a suite
+    that it runs apart."""
+    one_more_in_closed_form_column_3(monkeypatch)
+    real = checks.convolved_fib_gould
+    monkeypatch.setattr(checks, "convolved_fib_gould", lambda j, r: real(j, r) + ((j, r) == (9, 2)))
+
+
+@needs_fork
+@pytest.mark.parametrize("placement", ONE_PROCESS)
+@pytest.mark.parametrize("corrupt", [None, one_more_in_each_group], ids=["sound", "corrupted"])
+def test_run_all_reports_the_same_in_one_process(monkeypatch, placement, corrupt):
+    if corrupt:
+        corrupt(monkeypatch)
+    bounds = {"max_i": 12, "max_oracle_n": 6, "series_order": 14}
+    two_cpus(monkeypatch)
+    apart = run_all(**bounds)
+    placement(monkeypatch)
+    here = run_all(**bounds)
+    assert here == apart
+    failed = {r.name: r.detail for r in here if not r.passed}
+    assert failed == ({} if corrupt is None else {
+        "method-agreement (i <= 12)": "first disagreement at (i=5, j=-3): "
+        "recurrence=19, triple_sum=19, convolved=19, series=20",
+        "column-functional-equation (j <= 5)": "first disagreement at x^5 of column 3 "
+        "(closed_form): lhs=20, rhs=19",
+        "column-route-agreement (j <= 6)": "first disagreement at x^5 of column 3: "
+        "closed_form=20, functional_equation=19",
+        "convolved-fibonacci (j <= 20, r <= 6)": "first disagreement at (j=9, r=2): "
+        "binomial=421, series=420, product=420",
+    })
 
 
 def test_method_agreement_catches_corruption(monkeypatch):

@@ -16,6 +16,9 @@ from pascal_rhombus import (
 )
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -550,6 +553,103 @@ def test_check_reports_failure_and_exits_1(capsys, monkeypatch):
     assert "(i=7, j=3)" in out
 
 
+SMALL_CHECK = ["check", "--max-i", "8", "--max-oracle-n", "3", "--order", "10"]
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+def cpus(monkeypatch, n):
+    """The CPU probe of checks gives ``n`` CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
+def gone(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+@needs_fork
+@pytest.mark.parametrize("error, line", [
+    (ValueError("no route gave a value at x^3"), "error: internal: no route gave a value at x^3"),
+    (MemoryError(), "error: internal: out of memory"),
+], ids=["ValueError", "MemoryError"])
+def test_a_suite_raising_in_the_child_is_the_same_one_line(capsys, monkeypatch, error, line):
+    # catalan-binomial runs in check's child given two CPUs, in the CLI's own
+    # process given one; the child records its pid down a pipe
+    read_end, write_end = os.pipe()
+
+    def broken(order):
+        os.write(write_end, f"{os.getpid()}\n".encode())
+        raise error
+
+    monkeypatch.setattr(checks, "check_catalan_binomial", broken)
+    reports = []
+    for n in (2, 1):
+        cpus(monkeypatch, n)
+        reports.append(run_cli(capsys, *SMALL_CHECK))
+    os.close(write_end)
+    with open(read_end) as pids:
+        child, here = map(int, pids.read().split())
+    assert reports == [(1, "", line + "\n")] * 2
+    assert here == os.getpid() != child
+    assert gone(child)
+
+
+@needs_fork
+def test_a_killed_child_is_one_internal_line(capsys, monkeypatch):
+    cpus(monkeypatch, 2)
+    real, test_pid = checks.check_motzkin2_routes, os.getpid()
+
+    def killed(order):
+        if os.getpid() != test_pid:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(order)
+
+    monkeypatch.setattr(checks, "check_motzkin2_routes", killed)
+    code, out, err = run_cli(capsys, *SMALL_CHECK)
+    assert (code, out) == (1, "")
+    assert err == "error: internal: the suites' child process ended without a result " \
+                  "(killed by SIGKILL)\n"
+
+
+@needs_fork
+@pytest.mark.parametrize("to_group", [False, True], ids=["cli-alone", "process-group"])
+def test_an_interrupt_to_check_ends_its_child(to_group):
+    # SIGINT sent to the CLI's process alone, or to its process group as a
+    # terminal sends it: the CLI kills and reaps the child, prints its one
+    # line and ends by SIGINT
+    proc = subprocess.Popen(
+        [sys.executable, "-S", "-c",
+         "import os, sys, time\n"
+         "from pascal_rhombus import checks, cli\n"
+         "os.sched_getaffinity = lambda pid: {0, 1}\n"
+         "def stuck():\n"
+         "    print(os.getpid(), flush=True)\n"
+         "    time.sleep(30)\n"
+         "checks.check_convolved_fibonacci = stuck\n"
+         f"sys.argv[1:] = {SMALL_CHECK!r}\n"
+         "cli.run()\n"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": SRC}, start_new_session=True,
+    )
+    try:
+        child = int(proc.stdout.readline())
+        if to_group:
+            os.killpg(proc.pid, signal.SIGINT)
+        else:
+            proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=20)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == -signal.SIGINT
+    assert (out, err) == ("", "error: interrupted\n")
+    assert child != proc.pid and gone(child)
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "pascal_rhombus", "entry", "5", "0"],
@@ -661,12 +761,11 @@ def test_exact_decimals_past_the_digit_limit():
 
 def run_fresh(code):
     """``code`` run in a fresh ``python -S`` with the package on its path."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     return subprocess.run(
         [sys.executable, "-S", "-c", code],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": SRC},
     )
 
 
