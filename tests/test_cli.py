@@ -604,7 +604,7 @@ def test_a_killed_child_is_one_internal_line(capsys, monkeypatch):
     real, test_pid = checks.check_motzkin2_routes, os.getpid()
 
     def killed(order):
-        if os.getpid() != test_pid:
+        if os.getpid() != test_pid:  # the child, never the test's own process
             os.kill(os.getpid(), signal.SIGKILL)
         return real(order)
 
