@@ -2,6 +2,7 @@
 
 import errno
 import os
+import threading
 
 import pytest
 
@@ -188,6 +189,39 @@ def test_run_all_runs_every_suite_here_without_a_second_cpu(monkeypatch, placeme
     pids = suite_pids(monkeypatch)
     assert all(r.passed for r in run_all(max_i=6, max_oracle_n=0, series_order=8))
     assert set(pids().values()) == {str(os.getpid())}
+
+
+@needs_fork
+def test_run_all_runs_every_suite_here_while_another_thread_runs(monkeypatch):
+    # a fork would copy the other thread's locks but not the thread
+    two_cpus(monkeypatch)
+    pids = suite_pids(monkeypatch)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert all(r.passed for r in run_all(max_i=6, max_oracle_n=0, series_order=8))
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert set(pids().values()) == {str(os.getpid())}
+
+
+@needs_fork
+def test_a_child_that_cannot_send_its_results_is_a_child_process_error(monkeypatch):
+    # an exception of a class defined in a function cannot be pickled, so
+    # the child ends without sending its outcomes
+    class Unsendable(Exception):
+        pass
+
+    def broken(order):
+        raise Unsendable
+
+    two_cpus(monkeypatch)
+    monkeypatch.setattr(checks, "check_catalan_binomial", broken)
+    with pytest.raises(ChildProcessError, match=r"ended without a result \(exit code 1\)$"):
+        run_all(max_i=6, max_oracle_n=0, series_order=8)
 
 
 @pytest.mark.parametrize("placement", [pytest.param(two_cpus, id="two-cpus", marks=needs_fork),
