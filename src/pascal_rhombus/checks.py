@@ -14,22 +14,19 @@ suite called without them builds its own.  The suites run to the bounds
 they are given and take no caps: how far a request may run is the CLI's
 policy.
 
-Where ``os.fork`` exists, the process may run on two CPUs or more and no
-other thread runs, :func:`run_all` runs the four suites that read no column
-series (oracle-agreement, motzkin2-route-agreement, convolved-fibonacci and
-catalan-binomial) in one forked child while the parent builds the columns
-and runs the other four; otherwise, or if the fork fails, all eight run in
-this process.  Either way the report is the same.
+Where a second CPU is free (``_fork.second_cpu``), :func:`run_all` runs the
+four suites that read no column series (oracle-agreement,
+motzkin2-route-agreement, convolved-fibonacci and catalan-binomial) in one
+forked child while the parent builds the columns and runs the other four;
+otherwise, or if the fork fails, all eight run in this process.  Either way
+the report is the same.
 """
 
 from __future__ import annotations
 
-import marshal
-import os
-import threading
-from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
+from ._fork import beside
 from .closedforms import (
     binomial,
     convolved_fib_gould,
@@ -275,71 +272,6 @@ def _received(sent: tuple | bytes) -> Outcome:
     return pickle.loads(sent)
 
 
-def _second_cpu() -> bool:
-    """Whether a forked child would run beside this process: ``os.fork``
-    exists, the process may run on two CPUs, and no other thread runs (a
-    fork copies a thread's locks, not the thread)."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return False
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) >= 2
-    return (os.cpu_count() or 1) >= 2
-
-
-@contextmanager
-def _apart(suites: list[Callable[[], CheckResult]]) -> Iterator[Callable[[], list[Outcome]]]:
-    """Run ``suites`` beside the body of the ``with``: in a forked child where
-    there is a second CPU and the fork succeeds, else in this process when
-    asked.  Gives the function that returns their outcomes.
-
-    The child sends its outcomes down a pipe and always ends in ``os._exit``;
-    one that ends without sending them is a ``ChildProcessError``.  Whatever
-    ends the body, the child is killed if it still runs, and reaped.
-    """
-    pid = None
-    if _second_cpu():
-        read_end, write_end = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_end)
-            os.close(write_end)
-    if pid is None:
-        yield lambda: _outcomes(suites)
-        return
-    if pid == 0:
-        try:
-            with open(write_end, "wb") as pipe:
-                pipe.write(marshal.dumps([_sent(outcome) for outcome in _outcomes(suites)]))
-            os._exit(0)
-        finally:  # whatever else ends the child, an interrupt included
-            os._exit(1)
-    reaped = False
-
-    def outcomes() -> list[Outcome]:
-        nonlocal reaped
-        sent = pipe.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        reaped = True
-        if code == 0:
-            return [_received(outcome) for outcome in marshal.loads(sent)]
-        from signal import Signals
-
-        ended = f"killed by {Signals(-code).name}" if code < 0 else f"exit code {code}"
-        raise ChildProcessError(f"the suites' child process ended without a result ({ended})")
-
-    try:
-        os.close(write_end)
-        with open(read_end, "rb") as pipe:
-            yield outcomes
-    finally:
-        if not reaped:
-            from signal import SIGKILL
-
-            os.kill(pid, SIGKILL)
-            os.waitpid(pid, 0)
-
-
 def run_all(
     max_i: int = 40,
     max_oracle_n: int = 12,
@@ -350,7 +282,8 @@ def run_all(
     The four suites that read no column series (oracle-agreement,
     motzkin2-route-agreement, convolved-fibonacci, catalan-binomial) run in
     one forked child where there is a second CPU: ``os.fork`` exists, the
-    process may run on two CPUs and no other thread runs.  Meanwhile this
+    process may run on two CPUs, its cgroups allow two CPUs' worth of time
+    and no other thread runs.  Meanwhile this
     process builds the column series and runs method-agreement, the two
     column suites and symmetry.  Without a second CPU, or if the fork fails,
     the four run here after the others.  The results come in the order of
@@ -370,11 +303,14 @@ def run_all(
         (False, lambda: check_catalan_binomial(series_order)),
         (True, lambda: check_symmetry(max_i)),
     ]
-    with _apart([suite for here, suite in suites if not here]) as apart:
+    apart = [suite for here, suite in suites if not here]
+    with beside(lambda child: [_sent(outcome) for outcome in _outcomes(apart)],
+                "the suites'") as child:
         for method in COLUMN_METHODS:
             columns[method] = column_gfs(_COLUMN_J_CAP, series_order, method)
         outcomes = {True: iter(_outcomes([suite for here, suite in suites if here])),
-                    False: iter(apart())}
+                    False: iter(_outcomes(apart) if child is None
+                                else map(_received, child.receive()))}
     results = []
     for here, _ in suites:
         outcome = next(outcomes[here])

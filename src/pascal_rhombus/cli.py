@@ -6,10 +6,11 @@ the dependency cone of its last entry alone), ``series`` (raw coefficients of
 the generating functions F, C, B, L<j>) and ``check`` (the cross-method report).
 
 A request imports, and so compiles, only the modules its command runs:
-``series`` loads ``series``; ``row`` and ``column`` load ``rhombus``;
+``series`` loads ``series``; ``row`` and ``column`` load ``rhombus``, and a
+row deep enough to split over two CPUs the fork helper ``_fork`` too;
 ``entry`` loads the module of each method it runs, and with ``--method
 all`` also ``checks`` to compare them; ``check`` loads ``checks``, which
-loads every route.
+loads every route and ``_fork``.
 
 Each route, and each command that builds series, is capped by one flag whose
 default comes from ``REACH``; a request past its cap is refused before any
@@ -22,8 +23,9 @@ stdout is closed), 1 mathematical disagreement, failed check, internal
 invariant failure or output that could not be written, 2 usage error, a
 request past its reach included, 130 interrupted (SIGINT), reported as one
 line; run as a command, the process then ends by SIGINT itself, which a
-shell reports as 130.  A diagnostic that cannot be written is dropped and
-the exit code stands.
+shell reports as 130.  A SIGTERM while ``row`` or ``check`` runs a child
+ends the child, then this process by SIGTERM (143 in a shell).  A
+diagnostic that cannot be written is dropped and the exit code stands.
 """
 
 from __future__ import annotations
@@ -89,11 +91,9 @@ def _say(stream: TextIO | None, *values: object, fmt: str = "csv") -> OSError | 
 # runs, and a rebound module attribute (a test's fake, a tracer's wrapper)
 # is honoured.
 def _last_row(i: int) -> list[int]:
-    from .rhombus import iter_rows
+    from .rhombus import _row
 
-    for row in iter_rows(i):
-        pass
-    return row
+    return _row(i)
 
 
 def _recurrence(i: int, j: int) -> int:
@@ -143,7 +143,8 @@ ROUTES: dict[str, Callable[[int, int], int]] = {
 # caps the row index (row and column read the recurrence's); the series
 # method reads the row of series L<j> at its order, i + 1, and check's
 # sweep every row up to --max-i.  At a default one request takes about
-# 4-7 s on CPython 3.11, 2-CPU x86-64 (row 3000 about 5 s, entry 4500 0
+# 4-7 s on CPython 3.11, 2-CPU x86-64 (row 3000 about 3.1-3.4 s on one CPU
+# and 1.8-2.5 s split over two, entry 4500 0
 # --method triple_sum, entry 550 0 --method convolved, check --max-i 280;
 # series B or C --order 1500 about 1 s, series L<j> --order 700 2.4-3.1 s,
 # from L1 to L699), check --order 150 about 0.2 s, column 0 --terms 3001 and

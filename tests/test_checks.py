@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from pascal_rhombus import RhombusTable, TruncatedSeries, checks, iter_rows, run_all
+from pascal_rhombus import RhombusTable, TruncatedSeries, _fork, checks, iter_rows, run_all
 from pascal_rhombus.series import COLUMN_METHODS
 from pascal_rhombus.checks import (
     CheckResult,
@@ -118,6 +118,7 @@ def two_cpus(monkeypatch):
     """The CPU probe gives two CPUs, whatever the host has."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_fork, "_ROOT", os.path.join(os.devnull, "no-cgroups"))  # no CPU quota
 
 
 def one_cpu(monkeypatch):

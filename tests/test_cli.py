@@ -6,13 +6,14 @@ import os
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
 
 from pascal_rhombus import (
-    TruncatedSeries, catalan_gf, checks, cli, closedforms, column_gf, entry_triple_sum, iter_rows,
-    motzkin2_gf, paths, rhombus, series,
+    TruncatedSeries, _fork, catalan_gf, checks, cli, closedforms, column_gf, entry_triple_sum,
+    iter_rows, motzkin2_gf, paths, rhombus, series,
 )
 
 
@@ -561,6 +562,7 @@ def cpus(monkeypatch, n):
     """The CPU probe of checks gives ``n`` CPUs, whatever the host has."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: n)
+    monkeypatch.setattr(_fork, "_ROOT", os.path.join(os.devnull, "no-cgroups"))  # no CPU quota
 
 
 def gone(pid):
@@ -624,8 +626,9 @@ def test_an_interrupt_to_check_ends_its_child(to_group):
     proc = subprocess.Popen(
         [sys.executable, "-S", "-c",
          "import os, sys, time\n"
-         "from pascal_rhombus import checks, cli\n"
+         "from pascal_rhombus import _fork, checks, cli\n"
          "os.sched_getaffinity = lambda pid: {0, 1}\n"
+         "_fork._ROOT = os.path.join(os.devnull, 'no-cgroups')\n"
          "def stuck():\n"
          "    print(os.getpid(), flush=True)\n"
          "    time.sleep(30)\n"
@@ -648,6 +651,115 @@ def test_an_interrupt_to_check_ends_its_child(to_group):
     assert proc.returncode == -signal.SIGINT
     assert (out, err) == ("", "error: interrupted\n")
     assert child != proc.pid and gone(child)
+
+
+def ended(pid):
+    """Whether process ``pid`` is gone or a zombie that nothing reaps yet."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@needs_fork
+@pytest.mark.parametrize("error, ended", [
+    (None, "killed by SIGKILL"), (ValueError("invariant violated"), "exit code 1"),
+    (MemoryError(), "exit code 1"),
+], ids=["SIGKILL", "ValueError", "MemoryError"])
+def test_a_row_whose_child_is_lost_is_one_internal_line(capsys, monkeypatch, error, ended):
+    cpus(monkeypatch, 2)
+    real, test_pid = rhombus._half, os.getpid()
+
+    def lost(depth, other, left):
+        if os.getpid() != test_pid:  # the child, never the test's own process
+            if error is None:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise error
+        return real(depth, other, left)
+
+    monkeypatch.setattr(rhombus, "_half", lost)
+    code, out, err = run_cli(capsys, "row", str(rhombus._SPLIT))
+    line = f"error: internal: the row's child process ended without a result ({ended})\n"
+    assert (code, out, err) == (1, "", line)
+
+
+def catches(pid, signum):
+    """Whether process ``pid`` has a handler for ``signum`` (its SigCgt mask)."""
+    with open(f"/proc/{pid}/status") as status:
+        caught = next(line for line in status if line.startswith("SigCgt:"))
+    return bool(int(caught.split()[1], 16) >> (signum - 1) & 1)
+
+
+def started(argv, record_pid):
+    """The CLI run as a command with two CPUs, in a session of its own, and
+    the pid its child prints from the function ``record_pid`` names."""
+    module, name = record_pid
+    proc = subprocess.Popen(
+        [sys.executable, "-S", "-c",
+         "import os, sys\n"
+         f"from pascal_rhombus import _fork, cli, {module}\n"
+         "os.sched_getaffinity = lambda pid: {0, 1}\n"
+         "_fork._ROOT = os.path.join(os.devnull, 'no-cgroups')\n"
+         f"real = {module}.{name}\n"
+         "def recording(*args, **kwargs):\n"
+         "    if os.getpid() != parent:\n"
+         "        print(os.getpid(), flush=True)\n"
+         "    return real(*args, **kwargs)\n"
+         f"{module}.{name} = recording\n"
+         "parent = os.getpid()\n"
+         f"sys.argv[1:] = {argv!r}\n"
+         "cli.run()\n"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": SRC}, start_new_session=True,
+    )
+    return proc, int(proc.stdout.readline())
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+@pytest.mark.parametrize("signum, err", [(signal.SIGINT, "error: interrupted\n"),
+                                         (signal.SIGTERM, "")], ids=["SIGINT", "SIGTERM"])
+@pytest.mark.parametrize("argv, record_pid", [
+    (["row", "3000"], ("rhombus", "_half")),
+    (SMALL_CHECK, ("checks", "check_oracle_agreement")),
+], ids=["row", "check"])
+def test_a_signal_to_the_cli_ends_its_child(argv, record_pid, signum, err):
+    # the CLI kills and reaps its child, then ends by the signal, after one
+    # line for an interrupt and none for SIGTERM
+    if record_pid[0] == "checks":  # a walk of about 2 s in the child
+        argv = argv + ["--max-oracle-n", "16"]
+    proc, child = started(argv, record_pid)
+    try:
+        if signum == signal.SIGTERM:
+            # the CLI takes SIGTERM from just after the fork on
+            for _ in range(200):
+                if catches(proc.pid, signum):
+                    break
+                time.sleep(0.01)
+        proc.send_signal(signum)
+        out, errors = proc.communicate(timeout=20)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == -signum
+    assert (out, errors) == ("", err)
+    assert child != proc.pid and gone(child)
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_a_row_child_ends_when_its_parent_is_killed():
+    # SIGKILL leaves no cleanup to run: the child ends at its next swap, on
+    # the end of its pipe
+    proc, child = started(["row", "3000"], ("rhombus", "_half"))
+    proc.kill()
+    proc.communicate()
+    for _ in range(200):
+        if ended(child):
+            break
+        time.sleep(0.05)
+    assert ended(child)
 
 
 def test_console_entry_point_runs():
@@ -793,9 +905,11 @@ def test_import_leaves_dataclasses_inspect_and_json_out():
     (["column", "0", "--terms", "3"], {"rhombus"}),
     (["entry", "5", "0", "--method", "oracle"], {"paths"}),
     (["entry", "5", "0", "--method", "triple_sum"], {"closedforms", "series"}),
+    (["row", str(rhombus._SPLIT)], {"_fork", "rhombus"}),
     (["check", "--max-i", "5", "--max-oracle-n", "3", "--order", "5"],
-     {"checks", "closedforms", "paths", "rhombus", "series"}),
-], ids=["import", "series", "row", "column", "entry-oracle", "entry-triple_sum", "check"])
+     {"_fork", "checks", "closedforms", "paths", "rhombus", "series"}),
+], ids=["import", "series", "row", "column", "entry-oracle", "entry-triple_sum", "row-split",
+        "check"])
 def test_a_request_loads_only_the_modules_it_runs(argv, loaded):
     # each request compiles every module it loads: the package alone loads
     # none, and a command only those it runs (closedforms builds on series)

@@ -1,10 +1,21 @@
-"""The recurrence: streamed rows, the table, symmetry, self-consistency."""
+"""The recurrence: streamed rows, the table, symmetry, self-consistency,
+and a deep row split into column halves on two processes."""
+
+import errno
+import marshal
+import os
+import subprocess
+import sys
+import threading
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pascal_rhombus import RhombusTable, build_table, column_gf, iter_column, iter_rows, rhombus
+from pascal_rhombus import (
+    RhombusTable, _fork, build_table, column_gf, iter_column, iter_rows, rhombus,
+)
 
 GOLDEN_ROWS = [
     [1],
@@ -172,3 +183,143 @@ def test_a_column_adds_only_its_cone():
     assert whole >= 3 * (201 ** 2 - 1)  # three additions an entry of rows 1..200
     assert additions(iter_column(0, 200)) <= 0.55 * whole
     assert additions(iter_column(-199, 200)) <= 10 * 200
+
+
+def last_row(depth):
+    for row in iter_rows(depth):
+        pass
+    return row
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+def cpus(monkeypatch, n):
+    """The CPU probe gives ``n`` CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+    monkeypatch.setattr(_fork, "_ROOT", os.path.join(os.devnull, "no-cgroups"))  # no CPU quota
+
+
+@needs_fork
+@pytest.mark.parametrize("ghost", [1, 2, 5])
+def test_split_rows_equal_iter_rows_at_every_depth(monkeypatch, ghost):
+    # every depth to 3H + 2: blocks that start at the seed, at the edge of the
+    # triangle and past the ghost width, and a first block of each length
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(rhombus, "_GHOST", ghost)
+    monkeypatch.setattr(rhombus, "_SPLIT", 1)
+    for depth in range(3 * ghost + 3):
+        assert rhombus._row(depth) == last_row(depth), depth
+
+
+@needs_fork
+def test_split_rows_equal_iter_rows_at_the_threshold(monkeypatch):
+    cpus(monkeypatch, 2)
+    for depth in (rhombus._SPLIT - 1, rhombus._SPLIT, rhombus._SPLIT + 1):
+        assert rhombus._row(depth) == last_row(depth), depth
+
+
+def half_pids(monkeypatch):
+    """Make each half of a split row, and each whole row of iter_rows, write
+    its kind and its process's pid to a pipe; the function returned gives
+    the pairs once the row is done."""
+    read_end, write_end = os.pipe()
+    for name, kind in (("_half", lambda kwargs: "left" if kwargs["left"] else "right"),
+                       ("iter_rows", lambda kwargs: "whole")):
+        def recording(*args, real=getattr(rhombus, name), kind=kind, **kwargs):
+            os.write(write_end, f"{kind(kwargs)} {os.getpid()}\n".encode())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rhombus, name, recording)
+
+    def pids():
+        os.close(write_end)
+        with open(read_end, "rb") as lines:
+            return sorted(tuple(line.split()) for line in lines.read().decode().splitlines())
+
+    return pids
+
+
+@needs_fork
+def test_a_split_row_computes_its_left_half_in_another_process(monkeypatch):
+    cpus(monkeypatch, 2)
+    pids = half_pids(monkeypatch)
+    assert rhombus._row(rhombus._SPLIT) == last_row(rhombus._SPLIT)
+    (left, child), (right, here) = pids()
+    assert (left, right, here) == ("left", "right", str(os.getpid()))
+    assert child != here
+
+
+@contextmanager
+def another_thread(monkeypatch):
+    # a fork would copy the other thread's locks but not the thread
+    cpus(monkeypatch, 2)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
+@contextmanager
+def fork_fails(monkeypatch):
+    cpus(monkeypatch, 2)
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    yield
+
+
+@contextmanager
+def one_cpu(monkeypatch):
+    cpus(monkeypatch, 1)
+    yield
+
+
+@pytest.mark.parametrize("placement", [one_cpu, pytest.param(another_thread, marks=needs_fork),
+                                       fork_fails], ids=["one-cpu", "another-thread", "fork-fails"])
+def test_a_row_without_a_second_cpu_is_the_last_of_iter_rows_here(monkeypatch, placement):
+    pids = half_pids(monkeypatch)
+    expected = last_row(rhombus._SPLIT)
+    with placement(monkeypatch):
+        assert rhombus._row(rhombus._SPLIT) == expected
+    assert pids() == [("whole", str(os.getpid()))]
+
+
+def test_a_row_below_the_threshold_does_not_split(monkeypatch):
+    cpus(monkeypatch, 2)
+    pids = half_pids(monkeypatch)
+    assert rhombus._row(rhombus._SPLIT - 1) == last_row(rhombus._SPLIT - 1)
+    assert pids() == [("whole", str(os.getpid()))]
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@needs_fork
+def test_strips_longer_than_a_pipe_holds_do_not_deadlock():
+    # both halves writing a strip longer than the pipe buffers before either
+    # reads would hang; the child reads first
+    depth, ghost = 1200, 400
+    swapped = depth - ghost  # the last swap: row 800, columns 0..399 of it alone
+    assert len(marshal.dumps(last_row(swapped)[swapped:swapped + ghost])) > 2**16
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import os\n"
+         "from pascal_rhombus import _fork, rhombus\n"
+         "os.sched_getaffinity = lambda pid: {0, 1}\n"
+         "_fork._ROOT = os.path.join(os.devnull, 'no-cgroups')\n"
+         f"rhombus._GHOST = {ghost}\n"
+         f"row = rhombus._row({depth})\n"
+         "print(sum(row) % 1000003, len(row))\n"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split() == [str(sum(last_row(depth)) % 1000003), str(2 * depth + 1)]
